@@ -10,7 +10,7 @@ service can live in another thread or another process.
 
 Timing is injectable: the default simulated clock makes a full campaign
 instant while keeping the bookkeeping (dwell per node, average step time)
-exact; a wall clock reproduces real pacing.
+exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +41,8 @@ NAK = b"\x15"
 
 #: Worst-case positioning error of the real tables, millimetres.
 ACCURACY_BOUND_MM = 0.1
+
+_TRIGGER_ID_RE = re.compile(r"[0-9]{6}")
 
 _MOVE_RE = re.compile(r"^G0\s+X(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+Y(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
 
@@ -72,18 +73,6 @@ class SimulatedClock:
 
     def sleep(self, seconds: float) -> None:
         self.now_s += seconds
-
-
-class WallClock:
-    def __init__(self):
-        self._t0 = time.monotonic()
-
-    @property
-    def now_s(self) -> float:
-        return time.monotonic() - self._t0
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +118,17 @@ class CampaignPlan:
         longest = max((len(w) for w in self.waypoints), default=0)
         return longest * self.step_s
 
-    def slot_schedule(self) -> list[int]:
-        """Positioner slot used by the n-th trigger, in round-robin order."""
+    def trigger_order(self) -> list[tuple[int, int]]:
+        """(slot, step) of the n-th trigger, in round-robin order."""
         longest = max((len(w) for w in self.waypoints), default=0)
-        return [slot
+        return [(slot, step)
                 for step in range(longest)
                 for slot, wps in enumerate(self.waypoints)
                 if step < len(wps)]
+
+    def slot_schedule(self) -> list[int]:
+        """Positioner slot used by the n-th trigger, in round-robin order."""
+        return [slot for slot, _ in self.trigger_order()]
 
 
 def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE,
@@ -174,7 +167,7 @@ class VirtualPositioner:
     """
 
     def __init__(self, x_extent_mm: float = 1250.0, y_extent_mm: float = 1250.0,
-                 max_error_mm: float = 0.0, seed: int = 0):
+                 max_error_mm: float = 0.0, seed: int | tuple[int, ...] = 0):
         if max_error_mm < 0 or max_error_mm > ACCURACY_BOUND_MM:
             raise ValueError(f"max_error_mm must be in [0, {ACCURACY_BOUND_MM}]")
         self.x_extent_mm = x_extent_mm
@@ -217,11 +210,10 @@ class VirtualPositioner:
         return "ok\n"
 
 
-class PositionerServer:
-    """Serve one VirtualPositioner's text protocol over TCP, line by line."""
+class _TcpServer:
+    """Listener and accept loop; subclasses handle one connection at a time."""
 
-    def __init__(self, positioner: VirtualPositioner, address=("127.0.0.1", 0)):
-        self.positioner = positioner
+    def __init__(self, address):
         self._listener = socket.create_server(address)
         self._listener.settimeout(0.05)
         self.address = self._listener.getsockname()
@@ -236,23 +228,9 @@ class PositionerServer:
                 continue
             except OSError:
                 break
-            with conn:
-                conn.settimeout(5.0)
-                buf = b""
-                try:
-                    while not self._stop.is_set():
-                        data = conn.recv(1024)
-                        if not data:
-                            break
-                        buf += data
-                        while b"\n" in buf:
-                            line, buf = buf.split(b"\n", 1)
-                            reply = self.positioner.execute(line.decode("ascii", errors="replace"))
-                            conn.sendall(reply.encode("ascii"))
-                except OSError:
-                    pass
+            self._handle(conn)
 
-    def start(self) -> "PositionerServer":
+    def start(self):
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
@@ -268,6 +246,31 @@ class PositionerServer:
 
     def __exit__(self, *exc):
         self.stop()
+
+
+class PositionerServer(_TcpServer):
+    """Serve one VirtualPositioner's text protocol over TCP, line by line."""
+
+    def __init__(self, positioner: VirtualPositioner, address=("127.0.0.1", 0)):
+        super().__init__(address)
+        self.positioner = positioner
+
+    def _handle(self, conn: socket.socket):
+        with conn:
+            conn.settimeout(5.0)
+            buf = b""
+            try:
+                while not self._stop.is_set():
+                    data = conn.recv(1024)
+                    if not data:
+                        break
+                    buf += data
+                    while b"\n" in buf:
+                        line, buf = buf.split(b"\n", 1)
+                        reply = self.positioner.execute(line.decode("ascii", errors="replace"))
+                        conn.sendall(reply.encode("ascii"))
+            except OSError:
+                pass
 
 
 class TcpPositioner:
@@ -301,24 +304,22 @@ class TriggerResult:
     TIMEOUT = "timeout"
 
 
-class CaptureService:
+class CaptureService(_TcpServer):
     """TCP capture trigger service.
 
-    Per connection: read exactly 6 bytes, validate the charset, snapshot the
-    current CSI from ``channel_source`` (a zero-argument callable), write it
-    atomically to ``<out_dir>/<payload>.bin`` and reply one ACK byte (0x06);
-    any failure replies NAK (0x15) and leaves no file behind. Connections
-    are handled strictly one at a time, in arrival order.
+    Per connection: read exactly 6 bytes, validate the charset, call
+    ``channel_source(sample_id)`` with the validated payload, write the
+    sample it returns atomically to ``<out_dir>/<payload>.bin`` and reply
+    one ACK byte (0x06). The source decides from the id alone which sample
+    that is, and raises for an id it cannot pair with a position; any
+    failure replies NAK (0x15) and leaves no file behind. Connections are
+    handled strictly one at a time, in arrival order.
     """
 
     def __init__(self, out_dir, channel_source, address=("127.0.0.1", 0)):
+        super().__init__(address)
         self.out_dir = out_dir
         self.channel_source = channel_source
-        self._listener = socket.create_server(address)
-        self._listener.settimeout(0.05)
-        self.address = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self.captures = 0
         self.rejects = 0
 
@@ -338,7 +339,7 @@ class CaptureService:
                 text = payload.decode("ascii")
                 if not SAMPLE_ID_PATTERN.match(text):
                     raise ValueError(f"invalid trigger payload {payload!r}")
-                sample = self.channel_source()
+                sample = self.channel_source(text)
                 sample = CsiSample(sample.h, label=sample.label,
                                    user_id=sample.user_id, sample_id=text)
                 write_sample(Path(self.out_dir) / f"{text}.bin", sample)
@@ -355,39 +356,12 @@ class CaptureService:
             except OSError:
                 pass
 
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            self._handle(conn)
-
-    def start(self) -> "CaptureService":
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
-
     def serve_forever(self):
         """Blocking variant for standalone use; returns on KeyboardInterrupt."""
         try:
             self._serve()
         except KeyboardInterrupt:
             pass
-
-    def stop(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-        self._listener.close()
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc):
-        self.stop()
 
 
 def trigger_capture(address, payload, timeout: float = 5.0) -> str:
@@ -417,45 +391,43 @@ def trigger_capture(address, payload, timeout: float = 5.0) -> str:
 class SyntheticChannelSource:
     """Generates the CSI the base station would measure at trigger time.
 
-    The channel is computed from the physical (error-injected) position of
-    the positioner that the trigger sequence points at; the trigger order
-    comes from the plan's round-robin slot schedule, which the runner
-    follows deterministically. Noise, when enabled, is seeded per trigger
-    so a rerun of the same campaign reproduces the dataset bit for bit.
+    The sample id is the trigger's number in the plan's round-robin order,
+    as ``run_campaign`` assigns it, which names a positioner slot and
+    waypoint; the channel comes from that table's physical (error-injected)
+    position. An id outside the plan, or one whose waypoint the table is not
+    commanded to, raises. Noise is keyed on the id, so a retried trigger or
+    a rerun reproduces the same bytes.
     """
 
     def __init__(self, geometry: ArrayGeometry, radio: RadioConfig,
-                 cfg: chan.ChannelConfig, positioners, grids, slot_schedule,
+                 cfg: chan.ChannelConfig, positioners, plan: CampaignPlan,
                  user_ids, scatterers=(), snr_db: float = float("inf"), seed: int = 0):
         self.geometry = geometry
         self.radio = radio
         self.cfg = cfg
         self.positioners = list(positioners)
-        self.grids = list(grids)
-        self.slot_schedule = list(slot_schedule)
+        self.plan = plan
+        self.triggers = plan.trigger_order()
         self.user_ids = list(user_ids)
         self.scatterers = list(scatterers)
         self.snr_db = snr_db
         self.seed = seed
-        self._counter = 0
 
-    def __call__(self) -> CsiSample:
-        if self._counter >= len(self.slot_schedule):
-            raise RuntimeError("more triggers than planned waypoints")
-        slot = self.slot_schedule[self._counter]
-        grid = self.grids[slot]
-        lx, ly = self.positioners[slot].actual_position_mm
+    def __call__(self, sample_id: str) -> CsiSample:
+        if not _TRIGGER_ID_RE.fullmatch(sample_id) or int(sample_id) >= len(self.triggers):
+            raise ValueError(f"trigger {sample_id!r} is not in the campaign plan")
+        slot, step = self.triggers[int(sample_id)]
+        grid, target = self.plan.grids[slot], self.plan.waypoints[slot][step]
+        positioner = self.positioners[slot]
+        if positioner.position_mm != (target.x - grid.origin.x, target.y - grid.origin.y):
+            raise ValueError(f"trigger {sample_id!r} is for positioner {slot} waypoint {step}, "
+                             f"but the table is not there")
+        lx, ly = positioner.actual_position_mm
         pos = Position3(grid.origin.x + lx, grid.origin.y + ly, grid.origin.z)
-        user_id = self.user_ids[slot]
-        if self.scatterers:
-            sample = chan.multipath_channel(self.geometry, pos, self.radio, self.cfg,
-                                            self.scatterers, user_id=user_id)
-        else:
-            sample = chan.los_channel(self.geometry, pos, self.radio, self.cfg,
-                                      user_id=user_id)
-        sample = chan.add_noise(sample, chan.NoiseSpec(self.snr_db, self.seed + self._counter))
-        self._counter += 1
-        return sample
+        return chan.synthesize_sample(self.geometry, pos, self.radio, self.cfg, self.scatterers,
+                                      snr_db=self.snr_db, seed=self.seed,
+                                      stream=chan.STREAM_CAPTURE,
+                                      user_id=self.user_ids[slot], sample_id=sample_id)
 
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
@@ -545,11 +517,11 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
         user_ids = list(range(len(plan.grids)))
     positioners = [
         VirtualPositioner(g.x_extent_mm, g.y_extent_mm,
-                          max_error_mm=positioner_error_mm, seed=seed + 1000 + i)
+                          max_error_mm=positioner_error_mm,
+                          seed=(seed, chan.STREAM_JITTER, i))
         for i, g in enumerate(plan.grids)
     ]
-    source = SyntheticChannelSource(geometry, radio, cfg, positioners, plan.grids,
-                                    plan.slot_schedule(), user_ids,
+    source = SyntheticChannelSource(geometry, radio, cfg, positioners, plan, user_ids,
                                     scatterers=scatterers, snr_db=snr_db, seed=seed)
     servers: list[PositionerServer] = []
     drivers = positioners

@@ -11,6 +11,14 @@ cosine-power element pattern. Transmit power is *not* baked into h; it is
 applied by the link-budget stage, so |h| depends only on geometry and
 wavelength. Every function is pure; noise randomness is confined to the
 seed carried by NoiseSpec.
+
+Seed rule: every producer of samples makes them through
+:func:`synthesize_sample`, whose noise generator is
+``np.random.default_rng((seed, stream, key))`` -- the run seed, the
+producer's ``STREAM_*`` constant and the sample id's six ASCII bytes read
+as a big-endian integer. So no two seeds, producers or samples share a
+noise draw, and a rerun reproduces every sample bit for bit. Campaign
+positioner jitter uses ``STREAM_JITTER`` with the table index as key.
 """
 
 from __future__ import annotations
@@ -26,6 +34,14 @@ from .model import ArrayGeometry, CsiSample, Position3, RadioConfig
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 MM_PER_M = 1000.0
+
+# noise streams, one per producer of samples (see the module docstring)
+STREAM_GRID = 1
+STREAM_QUERY = 2
+STREAM_TARGET = 3
+STREAM_POOL = 4
+STREAM_CAPTURE = 5
+STREAM_JITTER = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,12 +78,13 @@ class Scatterer:
 class NoiseSpec:
     """Additive-noise request: SNR relative to the sample's own mean power.
 
-    ``snr_db = math.inf`` disables noise. A fixed seed makes the noise
+    ``snr_db = math.inf`` disables noise. A fixed seed, an int or a tuple
+    of ints as ``np.random.default_rng`` takes it, makes the noise
     realisation reproducible.
     """
 
     snr_db: float
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
 
 def pilot_frequencies(radio: RadioConfig, user_id: int) -> np.ndarray:
@@ -88,26 +105,37 @@ def pilot_frequencies(radio: RadioConfig, user_id: int) -> np.ndarray:
     return radio.carrier_hz + offsets * radio.subcarrier_spacing_hz
 
 
-def _distances_and_gains(geom: ArrayGeometry, user: Position3, q: float):
-    """Per-element distance (m) to the user and pattern gain."""
-    delta_mm = user.as_array()[None, :] - geom.positions_mm  # (M, 3)
-    d_m = np.linalg.norm(delta_mm, axis=1) / MM_PER_M
-    if np.any(d_m == 0.0):
-        raise ValueError("user position coincides with an array element")
-    if q == 0.0:
-        gains = np.ones_like(d_m)
-    else:
-        cos_theta = np.einsum("mi,mi->m", delta_mm, geom.facings) / (d_m * MM_PER_M)
-        gains = np.maximum(cos_theta, 0.0) ** q
-    return d_m, gains
-
-
 def _path_matrix(d_m: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Free-space factor (lambda / 4 pi d) exp(-j 2 pi f d / c) for all paths."""
     lam = SPEED_OF_LIGHT / freqs  # (F,)
     amp = lam[None, :] / (4.0 * np.pi * d_m[:, None])
     phase = -2.0 * np.pi * freqs[None, :] * d_m[:, None] / SPEED_OF_LIGHT
     return amp * np.exp(1j * phase)
+
+
+def _field(geom: ArrayGeometry, user: Position3, freqs: np.ndarray, q: float,
+           include_los: bool, scatterers) -> np.ndarray:
+    """LoS (optional, with pattern gain) plus one single-bounce path per scatterer."""
+    if include_los:
+        delta_mm = user.as_array()[None, :] - geom.positions_mm  # (M, 3)
+        d_m = np.linalg.norm(delta_mm, axis=1) / MM_PER_M
+        if np.any(d_m == 0.0):
+            raise ValueError("user position coincides with an array element")
+        h = _path_matrix(d_m, freqs)
+        if q != 0.0:
+            cos_theta = np.einsum("mi,mi->m", delta_mm, geom.facings) / (d_m * MM_PER_M)
+            h = (np.maximum(cos_theta, 0.0) ** q)[:, None] * h
+    else:
+        h = np.zeros((geom.n_elements, freqs.size), dtype=np.complex128)
+    user_arr = user.as_array()
+    for sc in scatterers:
+        sc_arr = sc.position.as_array()
+        d1 = np.linalg.norm(sc_arr[None, :] - geom.positions_mm, axis=1) / MM_PER_M
+        d2 = float(np.linalg.norm(user_arr - sc_arr)) / MM_PER_M
+        if d2 == 0.0 or np.any(d1 == 0.0):
+            raise ValueError("scatterer coincides with an array element or the user")
+        h = h + sc.reflection * _path_matrix(d1 + d2, freqs)
+    return h
 
 
 def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
@@ -118,9 +146,7 @@ def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
     The returned sample carries the user position as its label. Magnitude
     follows the 1/d law exactly, so doubling the distance halves |h|.
     """
-    freqs = pilot_frequencies(radio, user_id)
-    d_m, gains = _distances_and_gains(geom, user, cfg.pattern_exponent)
-    h = gains[:, None] * _path_matrix(d_m, freqs)
+    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.pattern_exponent, True, ())
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
 
 
@@ -133,21 +159,21 @@ def multipath_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
     (d1+d2) / c) over the element -> scatterer -> user detour. Contributions
     superpose linearly, so an empty list reproduces the LoS channel exactly.
     """
-    freqs = pilot_frequencies(radio, user_id)
-    if cfg.include_los:
-        d_m, gains = _distances_and_gains(geom, user, cfg.pattern_exponent)
-        h = gains[:, None] * _path_matrix(d_m, freqs)
-    else:
-        h = np.zeros((geom.n_elements, radio.pilot_count), dtype=np.complex128)
-    user_arr = user.as_array()
-    for sc in scatterers:
-        sc_arr = sc.position.as_array()
-        d1 = np.linalg.norm(sc_arr[None, :] - geom.positions_mm, axis=1) / MM_PER_M
-        d2 = float(np.linalg.norm(user_arr - sc_arr)) / MM_PER_M
-        if d2 == 0.0 or np.any(d1 == 0.0):
-            raise ValueError("scatterer coincides with an array element or the user")
-        h = h + sc.reflection * _path_matrix(d1 + d2, freqs)
+    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.pattern_exponent,
+               cfg.include_los, scatterers)
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
+
+
+def synthesize_sample(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
+                      cfg: ChannelConfig = ChannelConfig(), scatterers=(), *,
+                      snr_db: float, seed: int, stream: int, user_id: int = 0,
+                      sample_id: str = "000000") -> CsiSample:
+    """Sample ``sample_id`` of a producer's run: the multipath channel (an
+    empty scatterer list is plain LoS), then noise seeded by the seed rule."""
+    sample = multipath_channel(geom, user, radio, cfg, scatterers,
+                               user_id=user_id, sample_id=sample_id)
+    key = int.from_bytes(sample_id.encode("ascii"), "big")
+    return add_noise(sample, NoiseSpec(snr_db, (seed, stream, key)))
 
 
 def add_noise(csi: CsiSample, spec: NoiseSpec) -> CsiSample:
@@ -192,9 +218,3 @@ def save_scatterers(scatterers, path) -> None:
             writer.writerow([repr(sc.position.x), repr(sc.position.y), repr(sc.position.z),
                              repr(sc.reflection.real), repr(sc.reflection.imag)])
 
-
-def los_field(geom: ArrayGeometry, positions, radio: RadioConfig,
-              cfg: ChannelConfig = ChannelConfig(), user_id: int = 0):
-    """Generate LoS samples for a sequence of positions, one at a time."""
-    for pos in positions:
-        yield los_channel(geom, pos, radio, cfg, user_id=user_id)

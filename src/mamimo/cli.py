@@ -91,19 +91,15 @@ def _scatterers(args):
     return chan.load_scatterers(args.scatterers)
 
 
-def _synth_samples(args, grid: SampleGrid, order=Traversal.RASTER, user_id=0):
+def _synth_samples(args, grid: SampleGrid, stream: int, snr_db: float, user_id=0):
+    """One sample per grid node, in raster order, with ids 000000, 000001, ..."""
     geometry = _geometry(args)
     radio = RadioConfig()
     scatterers = _scatterers(args)
-    for i, pos in enumerate(grid_positions(grid, order)):
-        if scatterers:
-            sample = chan.multipath_channel(geometry, pos, radio, chan.ChannelConfig(),
-                                            scatterers, user_id=user_id,
-                                            sample_id=f"{i:06d}")
-        else:
-            sample = chan.los_channel(geometry, pos, radio, user_id=user_id,
-                                      sample_id=f"{i:06d}")
-        yield chan.add_noise(sample, chan.NoiseSpec(args.snr_db, args.seed + i))
+    for i, pos in enumerate(grid_positions(grid)):
+        yield chan.synthesize_sample(geometry, pos, radio, scatterers=scatterers,
+                                     snr_db=snr_db, seed=args.seed, stream=stream,
+                                     user_id=user_id, sample_id=f"{i:06d}")
 
 
 def _cmd_synth(args) -> int:
@@ -111,7 +107,8 @@ def _cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = _grid(args)
     records = []
-    for sample in _synth_samples(args, grid, user_id=args.user_id):
+    for sample in _synth_samples(args, grid, chan.STREAM_GRID, args.snr_db,
+                                 user_id=args.user_id):
         path = out / f"{sample.sample_id}.bin"
         dataio.write_sample(path, sample)
         records.append(dataio.SampleRecord(sample.sample_id, path, sample.label, sample.user_id))
@@ -144,13 +141,11 @@ def _cmd_serve_capture(args) -> int:
     radio = RadioConfig()
     pos = Position3(args.position[0], args.position[1],
                     args.position[2] if len(args.position) == 3 else DEFAULT_HEIGHT_MM)
-    counter = {"n": 0}
 
-    def source():
-        sample = chan.los_channel(geometry, pos, radio, user_id=args.user_id)
-        noisy = chan.add_noise(sample, chan.NoiseSpec(args.snr_db, args.seed + counter["n"]))
-        counter["n"] += 1
-        return noisy
+    def source(sample_id):
+        return chan.synthesize_sample(geometry, pos, radio, snr_db=args.snr_db, seed=args.seed,
+                                      stream=chan.STREAM_CAPTURE, user_id=args.user_id,
+                                      sample_id=sample_id)
 
     Path(args.out).mkdir(parents=True, exist_ok=True)
     service = camp.CaptureService(args.out, source, address=args.addr)
@@ -170,9 +165,9 @@ def _cmd_powermap(args) -> int:
     grid = _grid(args)
     tz = args.target[2] if len(args.target) == 3 else DEFAULT_HEIGHT_MM
     target_pos = Position3(args.target[0], args.target[1], tz)
-    target = chan.los_channel(geometry, target_pos, radio)
-    target = chan.add_noise(target, chan.NoiseSpec(args.snr_db, args.seed))
-    samples = _synth_samples(args, grid)
+    target = chan.synthesize_sample(geometry, target_pos, radio, snr_db=args.snr_db,
+                                    seed=args.seed, stream=chan.STREAM_TARGET)
+    samples = _synth_samples(args, grid, chan.STREAM_GRID, args.snr_db)
     raw = dsp.power_map(grid, samples, target,
                         scheme=dsp.PrecodingScheme(args.scheme))
     pmap = dsp.normalize_power_maps([raw])[0]
@@ -196,8 +191,9 @@ def _cmd_schedule(args) -> int:
     for i in range(args.users):
         pos = Position3(center.x + rng.uniform(-half, half),
                         center.y + rng.uniform(-half, half), DEFAULT_HEIGHT_MM)
-        sample = chan.los_channel(geometry, pos, radio, user_id=i % 12)
-        sample = chan.add_noise(sample, chan.NoiseSpec(args.snr_db, args.seed + i))
+        sample = chan.synthesize_sample(geometry, pos, radio, snr_db=args.snr_db,
+                                        seed=args.seed, stream=chan.STREAM_POOL,
+                                        user_id=i % 12, sample_id=f"{i:06d}")
         users.append(sched.PoolUser(i, sample, pos))
     pool = sched.UserPool(users)
     budget = dsp.LinkBudget(args.tx_power, args.noise_power)
@@ -222,18 +218,15 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_locate(args) -> int:
     grid = _grid(args)
-    db = loc.build_fingerprints(_synth_samples(args, grid), loc.FeatureConfig(),
-                                topology=args.topology)
+    db = loc.build_fingerprints(_synth_samples(args, grid, chan.STREAM_GRID, args.snr_db),
+                                loc.FeatureConfig(), topology=args.topology)
     if args.db_out:
         loc.save_fingerprints(db, args.db_out)
         print(f"saved fingerprint database ({len(db)} entries) to {args.db_out}")
     if args.loo:
         report = loc.leave_one_out_report(db, k=args.k)
     else:
-        noisy = argparse.Namespace(**vars(args))
-        noisy.snr_db = args.query_snr_db
-        noisy.seed = args.seed + 777_000
-        queries = list(_synth_samples(noisy, grid))
+        queries = list(_synth_samples(args, grid, chan.STREAM_QUERY, args.query_snr_db))
         report = loc.evaluate_localizer(db, queries, k=args.k)
     loc.report_to_csv(report, args.out)
     print(f"localization over {len(report.errors_mm)} queries: "

@@ -33,7 +33,7 @@ import csv
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +160,8 @@ def save_index(path, index: DatasetIndex) -> None:
     """Write the index CSV with config comments, LF line endings."""
     lines = [f"# topology = {index.topology}"]
     if index.radio is not None:
-        for name in ("carrier_hz", "subcarrier_spacing_hz", "total_subcarriers",
-                     "pilot_count", "interleave_factor", "tx_power_dbm",
-                     "rx_gain_db", "symbol_duration_s"):
-            lines.append(f"# {name} = {getattr(index.radio, name)!r}")
+        for f in fields(RadioConfig):
+            lines.append(f"# {f.name} = {getattr(index.radio, f.name)!r}")
     lines.append("sample_id,user_id,x_mm,y_mm,z_mm")
     for rec in index.records:
         lines.append(f"{rec.sample_id},{rec.user_id},"
@@ -209,7 +207,7 @@ def load_index(path) -> DatasetIndex:
                 raise FileNotFoundError(f"{path}:{lineno}: missing sample file {sample_path}")
             records.append(SampleRecord(sample_id, sample_path, label, user_id))
     config = parse_config_text("\n".join(comments))
-    has_radio = any(k != "topology" for k in config)
+    has_radio = any(f.name in config for f in fields(RadioConfig))
     radio = radio_config_from_mapping(config) if has_radio else None
     return DatasetIndex(records=records, topology=config.get("topology", ""), radio=radio)
 

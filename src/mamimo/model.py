@@ -163,9 +163,6 @@ class CsiSample:
     def n_subcarriers(self) -> int:
         return self.h.shape[1]
 
-    def with_label(self, label: Position3 | None) -> "CsiSample":
-        return CsiSample(self.h, label=label, user_id=self.user_id, sample_id=self.sample_id)
-
     def __repr__(self):
         return (
             f"CsiSample(id={self.sample_id!r}, user={self.user_id}, "

@@ -254,7 +254,7 @@ def test_criterion_08_campaign_end_to_end(tmp_path):
     nak_dir.mkdir()
     import socket
 
-    with CaptureService(nak_dir, lambda: sample) as service:
+    with CaptureService(nak_dir, lambda sample_id: sample) as service:
         with socket.create_connection(service.address, timeout=5.0) as sock:
             sock.sendall(b"bad/..")
             assert sock.recv(1) == NAK

@@ -1,9 +1,11 @@
+import itertools
 import socket
 import threading
 
 import numpy as np
 import pytest
 
+from mamimo import campaign
 from mamimo.campaign import (
     NAK,
     CampaignError,
@@ -31,7 +33,7 @@ from mamimo.model import Position3, SampleGrid, Traversal
 @pytest.fixture()
 def fixed_source(fast_radio, ura_small):
     sample = los_channel(ura_small, Position3(0.0, 1500.0, 1000.0), fast_radio)
-    return lambda: sample
+    return lambda sample_id: sample
 
 
 class TestPlanning:
@@ -155,7 +157,7 @@ class TestCaptureService:
         assert list(tmp_path.iterdir()) == []
 
     def test_failing_source_naks(self, tmp_path):
-        def broken():
+        def broken(sample_id):
             raise RuntimeError("radio offline")
 
         with CaptureService(tmp_path, broken) as service:
@@ -182,7 +184,7 @@ class TestCaptureService:
             los_channel(ura_small, Position3(0.0, 1500.0, 1000.0), fast_radio),
             los_channel(ura_small, Position3(10.0, 1500.0, 1000.0), fast_radio),
         ])
-        with CaptureService(tmp_path, lambda: next(samples)) as service:
+        with CaptureService(tmp_path, lambda sample_id: next(samples)) as service:
             trigger_capture(service.address, "000001")
             first = (tmp_path / "000001.bin").read_bytes()
             trigger_capture(service.address, "000001")
@@ -265,7 +267,7 @@ class TestRunCampaign:
         calls = {"n": 0}
         good = los_channel(ura_small, Position3(0.0, 1500.0, 1000.0), fast_radio)
 
-        def flaky():
+        def flaky(sample_id):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise RuntimeError("capture failed")
@@ -303,6 +305,77 @@ class TestRunCampaign:
         simulate_campaign(plan, ura_small, fast_radio, tmp_path, seed=9)
         again = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert snapshot == again
+
+
+def _two_table_plan():
+    return plan_full_campaign(default_positioner_grids(extent_mm=5.0, resolution_mm=5.0)[:2])
+
+
+def _inject_trigger(monkeypatch, payload, at_command=None):
+    """Make simulate_campaign send one extra trigger ``payload`` to its capture
+    service, before run_campaign starts (``at_command=None``) or just before
+    positioner command number ``at_command`` (homing included, all tables
+    counted together from 0). Returns the list that receives its reply."""
+    replies = []
+    real_run = campaign.run_campaign
+
+    def run(plan, positioners, address, *args, **kwargs):
+        commands = itertools.count()
+
+        class Injecting:
+            def __init__(self, table):
+                self.table = table
+
+            def execute(self, command):
+                if next(commands) == at_command:
+                    replies.append(trigger_capture(address, payload))
+                return self.table.execute(command)
+
+        if at_command is None:
+            replies.append(trigger_capture(address, payload))
+        return real_run(plan, [Injecting(p) for p in positioners], address, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "run_campaign", run)
+    return replies
+
+
+def _assert_csi_matches_labels(index, geometry, radio):
+    for rec in index.records:
+        stored = read_sample(rec.path).h
+        expected = los_channel(geometry, rec.label, radio, user_id=rec.user_id).h
+        assert np.max(np.abs(stored - expected)) <= 1e-6 * np.max(np.abs(expected)), rec.sample_id
+
+
+class TestCapturePairing:
+    def test_stray_trigger_before_run_is_refused(self, tmp_path, monkeypatch,
+                                                 fast_radio, ura_small):
+        replies = _inject_trigger(monkeypatch, "zzzzzz")
+        index = simulate_campaign(_two_table_plan(), ura_small, fast_radio, tmp_path)
+        assert replies == [TriggerResult.NAK]
+        assert not (tmp_path / "zzzzzz.bin").exists()
+        assert len(index) == 8
+        _assert_csi_matches_labels(index, ura_small, fast_radio)
+
+    def test_stale_trigger_mid_run_is_refused(self, tmp_path, monkeypatch,
+                                              fast_radio, ura_small):
+        # command 5 moves table 1 to its second node; table 0 has left node 0
+        replies = _inject_trigger(monkeypatch, "000000", at_command=5)
+        index = simulate_campaign(_two_table_plan(), ura_small, fast_radio, tmp_path)
+        assert replies == [TriggerResult.NAK]
+        assert len(index) == 8
+        _assert_csi_matches_labels(index, ura_small, fast_radio)
+
+    def test_retried_trigger_rewrites_identical_bytes(self, tmp_path, monkeypatch,
+                                                      fast_radio, ura_small):
+        noisy = dict(snr_db=20.0, seed=4, positioner_error_mm=0.05)
+        simulate_campaign(_two_table_plan(), ura_small, fast_radio, tmp_path / "ref", **noisy)
+        # command 6 moves table 0 on from the node of trigger 000002
+        replies = _inject_trigger(monkeypatch, "000002", at_command=6)
+        simulate_campaign(_two_table_plan(), ura_small, fast_radio, tmp_path / "run", **noisy)
+        assert replies == [TriggerResult.ACK]
+        ref = {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+        run = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        assert run == ref
 
 
 class TestPositionerOverTcp:

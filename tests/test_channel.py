@@ -17,7 +17,9 @@ from mamimo.channel import (
     multipath_channel,
     pilot_frequencies,
     save_scatterers,
+    synthesize_sample,
 )
+from mamimo.geometry import build_topology
 from mamimo.model import ArrayGeometry, Position3, RadioConfig, TopologyKind
 
 
@@ -126,9 +128,11 @@ class TestLosChannel:
 class TestMultipathChannel:
     def test_no_scatterers_equals_los(self, fast_radio, ura_small):
         user = Position3(0.0, 2000.0, 1000.0)
-        los = los_channel(ura_small, user, fast_radio)
-        multi = multipath_channel(ura_small, user, fast_radio, ChannelConfig(), [])
-        assert np.array_equal(los.h, multi.h)
+        for geom in (ura_small, build_topology("da")):
+            for cfg in (ChannelConfig(), ChannelConfig(pattern_exponent=2.0)):
+                los = los_channel(geom, user, fast_radio, cfg, user_id=5)
+                multi = multipath_channel(geom, user, fast_radio, cfg, [], user_id=5)
+                assert np.array_equal(los.h, multi.h)
 
     def test_zero_reflection_equals_los(self, fast_radio, ura_small):
         user = Position3(0.0, 2000.0, 1000.0)
@@ -179,6 +183,64 @@ class TestMultipathChannel:
     def test_reflection_magnitude_capped(self):
         with pytest.raises(ValueError):
             Scatterer(Position3(0, 0, 0), 1.5 + 0j)
+
+
+SCATTERERS = [Scatterer(Position3(-1800.0, 2600.0, 1400.0), 0.6 - 0.2j),
+              Scatterer(Position3(1500.0, 3900.0, 600.0), -0.3 + 0.45j)]
+
+
+def closed_form_channel(geom, user, radio, user_id, q, include_los, scatterers):
+    """h[m, k] = sum over paths of Gamma g lambda_k / (4 pi d) exp(-j 2 pi f_k d / c),
+    written out here independently of mamimo.channel."""
+    c = 299_792_458.0
+    k = np.arange(radio.pilot_count)
+    f = radio.carrier_hz + (radio.interleave_factor * k + user_id
+                            - radio.total_subcarriers / 2) * radio.subcarrier_spacing_hz
+    elems = geom.positions_mm / 1000.0
+    u = np.array([user.x, user.y, user.z]) / 1000.0
+
+    def path(d):  # (M,) path lengths in metres -> (M, F)
+        return (c / f)[None, :] / (4 * np.pi * d[:, None]) * np.exp(-2j * np.pi * np.outer(d, f) / c)
+
+    h = np.zeros((len(elems), len(f)), dtype=complex)
+    if include_los:
+        d = np.sqrt(((u - elems) ** 2).sum(axis=1))
+        cos_theta = ((u - elems) * geom.facings).sum(axis=1) / d
+        h += (np.clip(cos_theta, 0.0, None) ** q)[:, None] * path(d)
+    for sc in scatterers:
+        s = np.array([sc.position.x, sc.position.y, sc.position.z]) / 1000.0
+        d1 = np.sqrt(((s - elems) ** 2).sum(axis=1))
+        h += sc.reflection * path(d1 + np.sqrt(((u - s) ** 2).sum()))
+    return h
+
+
+class TestSynthesizeSample:
+    @pytest.mark.parametrize("kind", ["ura", "da"])
+    @pytest.mark.parametrize("cfg, n_scatterers", [
+        (ChannelConfig(), 0),
+        (ChannelConfig(), 2),
+        (ChannelConfig(pattern_exponent=1.5), 0),
+        (ChannelConfig(pattern_exponent=1.5), 2),
+        (ChannelConfig(include_los=False), 2),
+    ], ids=["los", "los+2", "pattern", "pattern+2", "nlos+2"])
+    def test_matches_closed_form(self, radio, kind, cfg, n_scatterers):
+        geom = build_topology(kind)
+        user = Position3(240.0, 2870.0, 1130.0)
+        scatterers = SCATTERERS[:n_scatterers]
+        sample = synthesize_sample(geom, user, radio, cfg, scatterers, snr_db=math.inf,
+                                   seed=3, stream=1, user_id=7, sample_id="000042")
+        ref = closed_form_channel(geom, user, radio, 7, cfg.pattern_exponent,
+                                  cfg.include_los, scatterers)
+        assert np.max(np.abs(sample.h - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert (sample.label, sample.user_id, sample.sample_id) == (user, 7, "000042")
+
+    def test_noise_seeded_by_seed_stream_and_sample_id(self, fast_radio, ura_small):
+        user = Position3(0.0, 2000.0, 1000.0)
+        noisy = synthesize_sample(ura_small, user, fast_radio, snr_db=10.0, seed=9,
+                                  stream=4, sample_id="00a1_-")
+        clean = los_channel(ura_small, user, fast_radio, sample_id="00a1_-")
+        key = int.from_bytes(b"00a1_-", "big")
+        assert np.array_equal(noisy.h, add_noise(clean, NoiseSpec(10.0, (9, 4, key))).h)
 
 
 class TestAddNoise:

@@ -134,6 +134,17 @@ class TestIndex:
         assert [r.label for r in loaded] == [r.label for r in index]
         assert [r.user_id for r in loaded] == [r.user_id for r in index]
 
+    def test_no_radio_with_other_comments(self, tmp_path, rng):
+        index = make_dataset(tmp_path, rng, n=2)
+        index.radio = None
+        path = tmp_path / "index.csv"
+        save_index(path, index)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + ["# snr_db = 20.0"] + lines[1:]) + "\n")
+        loaded = load_index(path)
+        assert loaded.radio is None
+        assert loaded.topology == "ura" and len(loaded) == 2
+
     def test_empty_index(self, tmp_path):
         path = tmp_path / "index.csv"
         path.write_text("sample_id,user_id,x_mm,y_mm,z_mm\n")
