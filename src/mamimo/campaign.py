@@ -58,7 +58,7 @@ class TriggerMessage:
     payload: str
 
     def __post_init__(self):
-        if not SAMPLE_ID_PATTERN.match(self.payload):
+        if not SAMPLE_ID_PATTERN.fullmatch(self.payload):
             raise ValueError(f"trigger payload must be 6 chars of [0-9A-Za-z_-], got {self.payload!r}")
 
     def to_bytes(self) -> bytes:
@@ -337,7 +337,7 @@ class CaptureService(_TcpServer):
                 return
             try:
                 text = payload.decode("ascii")
-                if not SAMPLE_ID_PATTERN.match(text):
+                if not SAMPLE_ID_PATTERN.fullmatch(text):
                     raise ValueError(f"invalid trigger payload {payload!r}")
                 sample = self.channel_source(text)
                 sample = CsiSample(sample.h, label=sample.label,

@@ -18,7 +18,8 @@ Seed rule: every producer of samples makes them through
 producer's ``STREAM_*`` constant and the sample id's six ASCII bytes read
 as a big-endian integer. So no two seeds, producers or samples share a
 noise draw, and a rerun reproduces every sample bit for bit. Campaign
-positioner jitter uses ``STREAM_JITTER`` with the table index as key.
+positioner jitter uses ``STREAM_JITTER`` with the table index as key, and
+the CLI's random user grouping uses ``(seed, STREAM_GROUPING)``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ STREAM_TARGET = 3
 STREAM_POOL = 4
 STREAM_CAPTURE = 5
 STREAM_JITTER = 6
+STREAM_GROUPING = 7
 
 
 @dataclass(frozen=True, slots=True)

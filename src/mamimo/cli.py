@@ -165,8 +165,8 @@ def _cmd_powermap(args) -> int:
     grid = _grid(args)
     tz = args.target[2] if len(args.target) == 3 else DEFAULT_HEIGHT_MM
     target_pos = Position3(args.target[0], args.target[1], tz)
-    target = chan.synthesize_sample(geometry, target_pos, radio, snr_db=args.snr_db,
-                                    seed=args.seed, stream=chan.STREAM_TARGET)
+    target = chan.synthesize_sample(geometry, target_pos, radio, scatterers=_scatterers(args),
+                                    snr_db=args.snr_db, seed=args.seed, stream=chan.STREAM_TARGET)
     samples = _synth_samples(args, grid, chan.STREAM_GRID, args.snr_db)
     raw = dsp.power_map(grid, samples, target,
                         scheme=dsp.PrecodingScheme(args.scheme))
@@ -200,7 +200,8 @@ def _cmd_schedule(args) -> int:
 
     schedules = {
         "def": sched.def_schedule(pool, args.group_size),
-        "random": sched.random_schedule(pool, args.group_size, seed=args.seed),
+        "random": sched.random_schedule(pool, args.group_size,
+                                        seed=(args.seed, chan.STREAM_GROUPING)),
     }
     sus_order = sched.sus_select(pool, alpha=args.alpha, max_users=args.group_size)
     schedules["sus"] = sched.Schedule(groups=[sus_order], group_size=max(len(sus_order), 1))

@@ -123,7 +123,7 @@ def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSa
             raise TruncatedFileError(f"{path}: trailing bytes after declared body")
     iq = np.frombuffer(body, dtype="<f4").reshape(m, f, 2)
     h = iq[:, :, 0].astype(np.complex128) + 1j * iq[:, :, 1].astype(np.complex128)
-    sample_id = path.stem if SAMPLE_ID_PATTERN.match(path.stem) else "000000"
+    sample_id = path.stem if SAMPLE_ID_PATTERN.fullmatch(path.stem) else "000000"
     return CsiSample(h, label=label, user_id=user_id, sample_id=sample_id)
 
 
@@ -137,7 +137,7 @@ class SampleRecord:
     user_id: int = 0
 
     def __post_init__(self):
-        if not SAMPLE_ID_PATTERN.match(self.sample_id):
+        if not SAMPLE_ID_PATTERN.fullmatch(self.sample_id):
             raise ValueError(f"sample_id must be 6 chars of [0-9A-Za-z_-], got {self.sample_id!r}")
 
 

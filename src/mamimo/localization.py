@@ -2,9 +2,9 @@
 
 A fingerprint database maps deterministic CSI feature vectors to the
 positions they were recorded at; a query CSI is located by averaging the
-labels of its nearest fingerprints in feature space. The localizer
-interface is deliberately minimal (CSI in, position out) so a learned
-model can replace the kNN matcher without touching the callers.
+labels of its nearest fingerprints, which one blocked kernel finds for a
+single query, a batch or a leave-one-out pass alike. The interface is
+minimal (CSI in, position out) so a learned model can replace the matcher.
 """
 
 from __future__ import annotations
@@ -48,22 +48,20 @@ def extract_features(csi: CsiSample, cfg: FeatureConfig = FeatureConfig()) -> np
     rotation.
     """
     h = csi.h
-    if cfg.mode is FeatureMode.RAW_UNIT_NORM:
-        norm = np.linalg.norm(h)
-        if norm == 0.0:
-            raise ValueError("cannot extract features from an all-zero CSI matrix")
-        return np.concatenate([h.real.ravel(), h.imag.ravel()]) / norm
-    if cfg.mode is FeatureMode.MAGNITUDE_ONLY:
-        mags = np.abs(h).ravel()
-        norm = np.linalg.norm(mags)
-        if norm == 0.0:
-            raise ValueError("cannot extract features from an all-zero CSI matrix")
-        return mags / norm
     if cfg.mode is FeatureMode.PHASE_RELATIVE:
         if np.any(np.abs(h) == 0.0):
             raise ValueError("phase features need nonzero entries")
         return np.angle(h * np.conj(h[0:1, :])).ravel()
-    raise ValueError(f"unknown feature mode {cfg.mode!r}")
+    if cfg.mode is FeatureMode.RAW_UNIT_NORM:
+        vec, norm = np.concatenate([h.real.ravel(), h.imag.ravel()]), np.linalg.norm(h)
+    elif cfg.mode is FeatureMode.MAGNITUDE_ONLY:
+        vec = np.abs(h).ravel()
+        norm = np.linalg.norm(vec)
+    else:
+        raise ValueError(f"unknown feature mode {cfg.mode!r}")
+    if norm == 0.0:
+        raise ValueError("cannot extract features from an all-zero CSI matrix")
+    return vec / norm
 
 
 class FingerprintDb:
@@ -76,8 +74,9 @@ class FingerprintDb:
             raise ValueError("features must be (N, D) and labels (N, 3)")
         if features.shape[0] != labels_mm.shape[0]:
             raise ValueError("features and labels must have equal length")
-        features.flags.writeable = False
-        labels_mm.flags.writeable = False
+        if not (np.isfinite(features).all() and np.isfinite(labels_mm).all()):
+            raise ValueError("features and labels must be finite")
+        features.flags.writeable = labels_mm.flags.writeable = False
         self.features = features
         self.labels_mm = labels_mm
         self.config = config
@@ -90,8 +89,7 @@ class FingerprintDb:
 def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
                        topology: str = "") -> FingerprintDb:
     """Build a database from labelled samples, streaming one at a time."""
-    rows = []
-    labels = []
+    rows, labels = [], []
     for sample in samples:
         if sample.label is None:
             raise ValueError(f"sample {sample.sample_id!r} has no position label")
@@ -103,33 +101,58 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
     return FingerprintDb(features, labels_mm, cfg, topology)
 
 
-def _weighted_label_mean(labels: np.ndarray, dists: np.ndarray,
-                         weighting: Weighting) -> np.ndarray:
+# Distances per query block (64 MiB; a 2,601-node leave-one-out is one block, which
+# numpy multiplies by its own transpose) and features per cache-sized re-rank gather.
+_BLOCK_ELEMENTS, _GATHER_ELEMENTS = 1 << 23, 1 << 16
+
+
+def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = False):
+    """(B, k) indices and distances of the k nearest fingerprints to each (B, D)
+    query row; ``exclude_self`` keeps database row i off query row i. Candidates
+    lie within four rounding bounds gamma_{D+2} (max|x| + |q|)^2 of the k-th
+    smallest expanded |x|^2 - 2 q.x + |q|^2, which no true or direct-form
+    neighbour exceeds (gamma_n = n eps / (1 - n eps)). The direct
+    ``norm(x - q)`` re-ranks them stably: ties go to the lower database index.
+    """
+    x = db.features
+    n, dim = x.shape
+    if not 1 <= k <= n - exclude_self or q.shape[1] != dim:
+        raise ValueError(f"need k in [1, {n - exclude_self}] and {dim} query features, "
+                         f"got k={k} and {q.shape[1]}")
+    sqx, sqq = np.einsum("nd,nd->n", x, x), np.einsum("bd,bd->b", q, q)
+    u = (dim + 2) * np.finfo(np.float64).eps
+    margin = 4.0 * u / (1.0 - u) * (np.sqrt(sqx.max()) + np.sqrt(sqq)) ** 2
+    rows, pairs = max(1, _BLOCK_ELEMENTS // n), max(1, _GATHER_ELEMENTS // dim)
+    idx, dist = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
+    for s in range(0, len(q), rows):
+        qb = q[s:s + rows]
+        d2 = -2.0 * (qb @ x.T) + sqx + sqq[s:s + rows, None]
+        if exclude_self:
+            d2[np.arange(len(qb)), np.arange(s, s + len(qb))] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        r, c = np.nonzero(d2 <= (kth + margin[s:s + rows])[:, None])  # row-major: c ascends
+        exact = np.concatenate([np.linalg.norm(x[c[p:p + pairs]] - qb[r[p:p + pairs]], axis=1)
+                                for p in range(0, len(c), pairs)])
+        first = np.searchsorted(r, np.arange(len(qb)))
+        take = np.lexsort((exact, r))[first[:, None] + np.arange(k)]
+        idx[s:s + rows], dist[s:s + rows] = c[take], exact[take]
+    return idx, dist
+
+
+def _weighted_label_mean(db: FingerprintDb, idx, dists, weighting: Weighting) -> np.ndarray:
+    labels = db.labels_mm[idx]  # (B, k, 3), one row of estimates per query
     if weighting is Weighting.UNIFORM:
-        return labels.mean(axis=0)
+        return labels.mean(axis=1)
     weights = 1.0 / (dists + 1e-12)
-    return (labels * weights[:, None]).sum(axis=0) / weights.sum()
+    return (labels * weights[..., None]).sum(axis=1) / weights.sum(axis=1)[:, None]
 
 
 def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5,
                weighting: Weighting = Weighting.INVERSE_DISTANCE) -> Position3:
-    """Estimate the query position from its k nearest fingerprints.
-
-    Distances are Euclidean in feature space; the estimate is the
-    (inverse-distance) weighted mean of the neighbours' positions. Equal
-    distances are resolved by database order.
-    """
-    if len(db) == 0:
-        raise ValueError("fingerprint database is empty")
-    if not 1 <= k <= len(db):
-        raise ValueError(f"k must be in [1, {len(db)}], got {k}")
-    f = extract_features(query, db.config)
-    if f.shape[0] != db.features.shape[1]:
-        raise ValueError("query feature length does not match the database")
-    dists = np.linalg.norm(db.features - f[None, :], axis=1)
-    nearest = np.argsort(dists, kind="stable")[:k]
-    est = _weighted_label_mean(db.labels_mm[nearest], dists[nearest], weighting)
-    return Position3(float(est[0]), float(est[1]), float(est[2]))
+    """Estimate the query position as the (inverse-distance) weighted mean of the
+    positions of its k nearest fingerprints in feature space (ties by database order)."""
+    q = extract_features(query, db.config)[None, :]
+    return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, q, k), weighting)[0]))
 
 
 @dataclass(frozen=True)
@@ -157,43 +180,22 @@ class LocalizationReport:
 
 def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5,
                        weighting: Weighting = Weighting.INVERSE_DISTANCE) -> LocalizationReport:
-    """Locate every labelled test sample and aggregate the position errors."""
-    errors = []
-    ids = []
-    for sample in test_samples:
-        if sample.label is None:
-            raise ValueError(f"test sample {sample.sample_id!r} has no position label")
-        est = knn_locate(db, sample, k=k, weighting=weighting)
-        errors.append(est.distance_mm(sample.label))
-        ids.append(sample.sample_id)
-    if not errors:
+    """Locate every labelled test sample, as one batch, and aggregate the errors."""
+    samples = list(test_samples)
+    test = build_fingerprints(samples, db.config)
+    if len(test) == 0:
         raise ValueError("test set is empty")
-    return LocalizationReport.from_errors(np.array(errors), ids)
+    d = _weighted_label_mean(db, *_nearest(db, test.features, k), weighting) - test.labels_mm
+    errors = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)  # as Position3.distance_mm
+    return LocalizationReport.from_errors(errors, [s.sample_id for s in samples])
 
 
 def leave_one_out_report(db: FingerprintDb, k: int = 4,
                          weighting: Weighting = Weighting.INVERSE_DISTANCE) -> LocalizationReport:
-    """Locate every fingerprint against the rest of its own database.
-
-    Equivalent to querying each sample on a database with that sample
-    removed, computed from one pairwise-distance pass. The self-match is
-    excluded; neighbour ranking still resolves ties by database order.
-    """
-    n = len(db)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}] for leave-one-out, got {k}")
-    x = db.features
-    sq = np.einsum("nd,nd->n", x, x)
-    gram = x @ x.T
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    np.fill_diagonal(d2, np.inf)
-    dists = np.sqrt(d2)
-    errors = np.empty(n)
-    for i in range(n):
-        nearest = np.argsort(dists[i], kind="stable")[:k]
-        est = _weighted_label_mean(db.labels_mm[nearest], dists[i][nearest], weighting)
-        errors[i] = float(np.linalg.norm(est - db.labels_mm[i]))
-    return LocalizationReport.from_errors(errors)
+    """Locate every fingerprint as a query that may not match itself, which equals
+    querying a database with that row removed; ties still go by database order."""
+    est = _weighted_label_mean(db, *_nearest(db, db.features, k, exclude_self=True), weighting)
+    return LocalizationReport.from_errors(np.linalg.norm(est - db.labels_mm, axis=1))
 
 
 def report_to_csv(report: LocalizationReport, path) -> None:

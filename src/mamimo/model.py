@@ -19,8 +19,9 @@ import numpy as np
 #: Number of orthogonal uplink pilots the frame structure provides.
 MAX_USERS = 12
 
-#: Filename / trigger-payload charset, six characters exactly.
-SAMPLE_ID_PATTERN = re.compile(r"^[0-9A-Za-z_-]{6}$")
+#: Filename / trigger-payload charset, six characters exactly. Test ids with
+#: ``fullmatch``: ``match`` with a ``$`` anchor also accepts a trailing newline.
+SAMPLE_ID_PATTERN = re.compile(r"[0-9A-Za-z_-]{6}")
 
 
 class TopologyKind(enum.Enum):
@@ -147,7 +148,7 @@ class CsiSample:
             raise ValueError("channel matrix must be finite")
         if not 0 <= user_id < MAX_USERS:
             raise ValueError(f"user_id must be in [0, {MAX_USERS}), got {user_id}")
-        if not SAMPLE_ID_PATTERN.match(sample_id):
+        if not SAMPLE_ID_PATTERN.fullmatch(sample_id):
             raise ValueError(f"sample_id must be 6 chars of [0-9A-Za-z_-], got {sample_id!r}")
         h.flags.writeable = False
         self.h = h

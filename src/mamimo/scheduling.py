@@ -153,7 +153,8 @@ def def_schedule(pool: UserPool, group_size: int) -> Schedule:
     return Schedule(groups=groups, group_size=group_size)
 
 
-def random_schedule(pool: UserPool, group_size: int, seed: int = 0) -> Schedule:
+def random_schedule(pool: UserPool, group_size: int,
+                    seed: int | tuple[int, ...] = 0) -> Schedule:
     """Uniformly random ordering cut into consecutive groups (baseline)."""
     if group_size < 1:
         raise ValueError("group_size must be at least 1")

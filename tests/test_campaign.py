@@ -140,6 +140,10 @@ class TestTriggerMessage:
     def test_six_bytes(self):
         assert TriggerMessage("00Az_-").to_bytes() == b"00Az_-"
 
+    def test_trailing_newline_rejected(self):
+        with pytest.raises(ValueError):
+            TriggerMessage("00Az_-\n")
+
 
 class TestCaptureService:
     def test_valid_trigger_writes_file_and_acks(self, tmp_path, fixed_source):

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from mamimo import channel as chan
+from mamimo import dsp
 from mamimo.cli import main
 from mamimo.dataio import load_index, write_sample
-from mamimo.model import CsiSample
+from mamimo.geometry import DEFAULT_HEIGHT_MM, build_topology
+from mamimo.model import CsiSample, Position3, RadioConfig
 
 from conftest import random_csi_matrix
 
@@ -109,6 +113,28 @@ class TestScatterers:
                        "--resolution-mm", "10") == 0
         assert ((out / "000000.bin").read_bytes()
                 != (plain / "000000.bin").read_bytes())
+
+    def test_powermap_target_includes_scatterers(self, tmp_path, monkeypatch):
+        # the precoder must come from the same multipath channel as the grid
+        scatterers = tmp_path / "scatterers.csv"
+        scatterers.write_text("x_mm,y_mm,z_mm,gamma_re,gamma_im\n500,1200,900,0.4,-0.2\n")
+        targets = []
+        real = dsp.power_map
+
+        def spy(grid, samples, target, **kwargs):
+            targets.append(target)
+            return real(grid, samples, target, **kwargs)
+
+        monkeypatch.setattr(dsp, "power_map", spy)
+        assert run_cli("powermap", "--target", "0,1510", "--extent-mm", "50",
+                       "--resolution-mm", "25", "--scatterers", str(scatterers),
+                       "--out", str(tmp_path / "map.pgm")) == 0
+        pos = Position3(0.0, 1510.0, DEFAULT_HEIGHT_MM)
+        ura, radio = build_topology("ura"), RadioConfig()
+        expected = chan.multipath_channel(ura, pos, radio, chan.ChannelConfig(),
+                                          chan.load_scatterers(scatterers)).h
+        np.testing.assert_array_equal(targets[0].h, expected)
+        assert not np.allclose(chan.los_channel(ura, pos, radio).h, expected)
 
 
 class TestServeCaptureProcess:

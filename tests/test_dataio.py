@@ -180,6 +180,14 @@ class TestIndex:
         save_index(tmp_path / "index.csv", index)
         assert load_index(tmp_path / "index.csv").records[0].label == label
 
+    def test_id_with_trailing_newline_rejected(self, tmp_path, rng):
+        # such an id would split its index row over two lines
+        with pytest.raises(ValueError):
+            SampleRecord("abcdef\n", tmp_path / "000000.bin", Position3(0.0, 0.0, 0.0))
+        path = tmp_path / "abcdef\n.bin"
+        write_sample(path, CsiSample(random_csi_matrix(rng, 1, 1)))
+        assert read_sample(path).sample_id == "000000"
+
 
 class TestStreaming:
     def test_yields_records_with_samples(self, tmp_path, rng):

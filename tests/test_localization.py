@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mamimo import localization
 from mamimo.channel import NoiseSpec, add_noise, los_channel
 from mamimo.dataio import BadMagicError
 from mamimo.geometry import build_topology, grid_positions
@@ -206,6 +208,90 @@ class TestEvaluateAndLeaveOneOut:
         assert len(lines) == 4
 
 
+def near_duplicate_samples(rng, n_far=5):
+    """A CSI h and two near-duplicates h + 3e-9 d1 and h + 1e-9 d2, whose
+    squared feature distances (~1e-19) sit far below the rounding of the
+    expanded form, followed by ``n_far`` unrelated samples."""
+    h = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    d1, d2 = (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(2))
+    hs = [h, h + 3e-9 * d1, h + 1e-9 * d2]
+    hs += [rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(n_far)]
+    return [CsiSample(m, label=Position3(10.0 * i, 7.0 * (i % 3), 1000.0), sample_id=f"{i:06d}")
+            for i, m in enumerate(hs)]
+
+
+def direct_estimate(db, query, k, weighting=Weighting.INVERSE_DISTANCE):
+    dists = np.linalg.norm(db.features - extract_features(query, db.config), axis=1)
+    nearest = np.argsort(dists, kind="stable")[:k]
+    if weighting is Weighting.UNIFORM:
+        return db.labels_mm[nearest].mean(axis=0)
+    w = 1.0 / (dists[nearest] + 1e-12)
+    return (db.labels_mm[nearest] * w[:, None]).sum(axis=0) / w.sum()
+
+
+class TestNeighbourKernel:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_near_duplicate_ranking_matches_direct_argsort(self, k):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            samples = near_duplicate_samples(rng)
+            samples.insert(2, samples[1])  # an exact tie goes to the lower index
+            db = build_fingerprints(samples)
+            for query in samples[:4]:
+                est = knn_locate(db, query, k=k)
+                expected = direct_estimate(db, query, k)
+                assert np.abs(est.as_array() - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_loo_equals_knn_on_reduced_database_for_near_duplicates(self, k):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            samples = near_duplicate_samples(rng)
+            db = build_fingerprints(samples)
+            report = leave_one_out_report(db, k=k)
+            for i in range(3):
+                keep = [j for j in range(len(db)) if j != i]
+                reduced = FingerprintDb(db.features[keep], db.labels_mm[keep], db.config)
+                err = knn_locate(reduced, samples[i], k=k).distance_mm(samples[i].label)
+                assert abs(err - report.errors_mm[i]) <= 1e-12
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_evaluate_equals_per_query_knn(self, radio, ura, weighting):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=5)
+        db = build_fingerprints(grid_samples(ura, radio, grid))
+        queries = [add_noise(los_channel(ura, Position3(-18.0 + 4.1 * i, 1502.0 + 3.7 * i, 1000.0),
+                                         radio, sample_id=f"{i:06d}"), NoiseSpec(15.0, seed=i))
+                   for i in range(9)]
+        report = evaluate_localizer(db, queries, k=4, weighting=weighting)
+        expected = [knn_locate(db, q, k=4, weighting=weighting).distance_mm(q.label)
+                    for q in queries]
+        assert report.errors_mm.tolist() == expected
+        assert report.sample_ids == tuple(q.sample_id for q in queries)
+
+    def test_blocks_and_gather_chunks_change_nothing(self, fast_radio, ura_small, monkeypatch):
+        grid = SampleGrid(origin=Position3(-25, 1500, 1000), x_extent_mm=50,
+                          y_extent_mm=50, resolution_mm=10)
+        samples = grid_samples(ura_small, fast_radio, grid)
+        db = build_fingerprints(samples)
+        queries = [add_noise(s, NoiseSpec(10.0, seed=i)) for i, s in enumerate(samples)]
+        whole = (leave_one_out_report(db, k=3).errors_mm,
+                 evaluate_localizer(db, queries, k=3).errors_mm)
+        dim = db.features.shape[1]
+        monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", 7 * len(db))  # 7-row blocks
+        monkeypatch.setattr(localization, "_GATHER_ELEMENTS", 2 * dim)  # 2-pair gathers
+        assert np.array_equal(leave_one_out_report(db, k=3).errors_mm, whole[0])
+        assert np.array_equal(evaluate_localizer(db, queries, k=3).errors_mm, whole[1])
+
+    def test_k_and_feature_length_validated(self, fast_radio, ura_small):
+        s = los_channel(ura_small, Position3(0, 1500, 1000), fast_radio)
+        db = build_fingerprints([s, s])
+        with pytest.raises(ValueError):
+            leave_one_out_report(db, k=2)
+        with pytest.raises(ValueError):
+            knn_locate(db, CsiSample(np.ones((1, 3))), k=1)
+
+
 class TestPersistence:
     def test_roundtrip(self, fast_radio, ura_small, tmp_path):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
@@ -229,6 +315,22 @@ class TestPersistence:
         loaded = load_fingerprints(path)
         query = add_noise(samples[3], NoiseSpec(15.0, seed=5))
         assert knn_locate(loaded, query, k=3) == knn_locate(db, query, k=3)
+
+    @pytest.mark.parametrize("where", ["features", "labels"])
+    def test_non_finite_value_rejected_on_load(self, fast_radio, ura_small, tmp_path, where):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=20)
+        db = build_fingerprints(grid_samples(ura_small, fast_radio, grid), topology="ura")
+        path = tmp_path / "db.fpdb"
+        save_fingerprints(db, path)
+        data = bytearray(path.read_bytes())
+        offset = len(data) - db.labels_mm.nbytes  # first label
+        if where == "features":
+            offset -= db.features.nbytes - 8 * 5  # sixth feature of the first row
+        data[offset:offset + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            load_fingerprints(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "db.fpdb"

@@ -72,6 +72,11 @@ class TestCsiSample:
         with pytest.raises(ValueError):
             CsiSample(np.ones((1, 1)), sample_id="ab/cde")  # bad char
 
+    def test_sample_id_with_trailing_newline_rejected(self):
+        # ``$`` matches before a final newline; the whole id must match
+        with pytest.raises(ValueError):
+            CsiSample(np.ones((1, 1)), sample_id="abcdef\n")
+
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
             CsiSample(np.ones((0, 3)))

@@ -90,6 +90,21 @@ def test_positioner_jitter_shares_no_state_with_capture_noise(tmp_path, monkeypa
     assert not set(jitter_states) & set(noise_states)
 
 
+def test_schedule_grouping_shares_no_state_with_user_positions(tmp_path, monkeypatch):
+    states = []
+    real = np.random.default_rng
+
+    def spy(seed=None):
+        states.append(tuple(real(seed).bit_generator.random_raw(2).tolist()))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    assert main(["schedule", "--users", "8", "--seed", "3",
+                 "--out", str(tmp_path / "schedule.csv")]) == 0
+    assert len(states) == 2  # user positions, then the random grouping
+    assert len(set(states)) == 2
+
+
 def test_locate_queries_share_no_noise_with_any_dataset(tmp_path, noise_states):
     assert main(["locate", *GRID, "--snr-db", "20", "--query-snr-db", "20", "--seed", "0",
                  "--out", str(tmp_path / "report.csv")]) == 0
