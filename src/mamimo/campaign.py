@@ -15,6 +15,7 @@ exact.
 
 from __future__ import annotations
 
+import itertools
 import re
 import socket
 import threading
@@ -125,10 +126,6 @@ class CampaignPlan:
                 for step in range(longest)
                 for slot, wps in enumerate(self.waypoints)
                 if step < len(wps)]
-
-    def slot_schedule(self) -> list[int]:
-        """Positioner slot used by the n-th trigger, in round-robin order."""
-        return [slot for slot, _ in self.trigger_order()]
 
 
 def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE,
@@ -339,10 +336,7 @@ class CaptureService(_TcpServer):
                 text = payload.decode("ascii")
                 if not SAMPLE_ID_PATTERN.fullmatch(text):
                     raise ValueError(f"invalid trigger payload {payload!r}")
-                sample = self.channel_source(text)
-                sample = CsiSample(sample.h, label=sample.label,
-                                   user_id=sample.user_id, sample_id=text)
-                write_sample(Path(self.out_dir) / f"{text}.bin", sample)
+                write_sample(Path(self.out_dir) / f"{text}.bin", self.channel_source(text))
             except Exception:
                 self.rejects += 1
                 try:
@@ -432,16 +426,15 @@ class SyntheticChannelSource:
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                  topology: str = "", radio: RadioConfig | None = None,
-                 user_ids=None, clock=None, timeout: float = 5.0,
-                 index_name: str = "index.csv") -> DatasetIndex:
+                 user_ids=None, clock=None, timeout: float = 5.0) -> DatasetIndex:
     """Drive the positioners over the plan, triggering one capture per node.
 
     ``positioners`` are objects with the text-protocol ``execute`` surface
     (in-process tables or TCP drivers), one per plan slot; the capture
-    service is reached only through its TCP address. Sample ids are a
-    zero-padded decimal counter over the whole run. Index labels are the
-    commanded waypoint coordinates. Any positioner error or NAK aborts with
-    the failing waypoint identified.
+    service is reached only through its TCP address. Trigger n of the plan's
+    ``trigger_order`` gets the zero-padded decimal sample id n. Index labels
+    are the commanded waypoint coordinates. Any positioner error or NAK
+    aborts with the failing waypoint identified.
     """
     positioners = list(positioners)
     if len(positioners) != len(plan.waypoints):
@@ -459,12 +452,11 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
             raise CampaignError(f"positioner {slot} failed to home: {reply.strip()!r}")
 
     records: list[SampleRecord] = []
-    counter = 0
-    longest = max((len(w) for w in plan.waypoints), default=0)
-    for step in range(longest):
-        active = [slot for slot, wps in enumerate(plan.waypoints) if step < len(wps)]
-        # all positioners move to this step's node concurrently ...
-        for slot in active:
+    triggers = enumerate(plan.trigger_order())
+    for step, group in itertools.groupby(triggers, key=lambda t: t[1][1]):
+        group = [(n, slot) for n, (slot, _) in group]
+        # all active positioners move to this step's node concurrently ...
+        for _, slot in group:
             target = plan.waypoints[slot][step]
             grid = plan.grids[slot]
             lx, ly = target.x - grid.origin.x, target.y - grid.origin.y
@@ -476,9 +468,8 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                 )
         # ... then everyone dwells while the captures are triggered in slot order
         clock.sleep(plan.dwell_s)
-        for slot in active:
-            target = plan.waypoints[slot][step]
-            sample_id = f"{counter:06d}"
+        for n, slot in group:
+            sample_id = f"{n:06d}"
             result = trigger_capture(capture_address, sample_id, timeout=timeout)
             if result != TriggerResult.ACK:
                 raise CampaignError(
@@ -486,12 +477,11 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                     f"returned {result}"
                 )
             records.append(SampleRecord(sample_id, out_dir / f"{sample_id}.bin",
-                                        target, user_ids[slot]))
-            counter += 1
+                                        plan.waypoints[slot][step], user_ids[slot]))
         clock.sleep(max(plan.step_s - plan.dwell_s, 0.0))
 
     index = DatasetIndex(records=records, topology=topology, radio=radio)
-    save_index(out_dir / index_name, index)
+    save_index(out_dir / "index.csv", index)
     return index
 
 

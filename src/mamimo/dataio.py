@@ -9,7 +9,8 @@ One sample per file. The container is little-endian and self-describing:
     6       2     antenna count M (u16)
     8       2     subcarrier count F (u16)
     10      2     pad
-    12      8*M*F body: antenna-major complex entries, float32 I then Q
+    12      8*M*F body: antenna-major little-endian complex64 entries
+                  (float32 I then Q per entry)
 
 so a 64x100 sample occupies exactly 12 + 8*64*100 = 51,212 bytes. Writes
 are atomic (temp file then rename), so readers never observe a partial
@@ -77,15 +78,12 @@ def write_sample(path, csi: CsiSample) -> int:
     if m > 0xFFFF or f > 0xFFFF:
         raise ValueError(f"matrix dimensions {m}x{f} exceed the 16-bit header fields")
     header = _HEADER.pack(MAGIC, VERSION, 0, m, f, 0)
-    body = np.empty((m, f, 2), dtype="<f4")
-    body[:, :, 0] = csi.h.real
-    body[:, :, 1] = csi.h.imag
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(body.tobytes())
+            fh.write(csi.h.astype("<c8").tobytes())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -121,8 +119,7 @@ def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSa
             )
         if fh.read(1):
             raise TruncatedFileError(f"{path}: trailing bytes after declared body")
-    iq = np.frombuffer(body, dtype="<f4").reshape(m, f, 2)
-    h = iq[:, :, 0].astype(np.complex128) + 1j * iq[:, :, 1].astype(np.complex128)
+    h = np.frombuffer(body, dtype="<c8").reshape(m, f).astype(np.complex128)
     sample_id = path.stem if SAMPLE_ID_PATTERN.fullmatch(path.stem) else "000000"
     return CsiSample(h, label=label, user_id=user_id, sample_id=sample_id)
 

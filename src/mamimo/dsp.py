@@ -82,9 +82,11 @@ def mrt_weights(h: np.ndarray) -> PrecodingWeights:
 def zf_weights(H: np.ndarray) -> PrecodingWeights:
     """Zero-forcing weights for K stacked users, H of shape (K, M, F).
 
-    Per subcarrier the unnormalized weights are the columns of
-    H^H (H H^H)^-1, which satisfy h_j^T w_k = delta_jk; each column is then
-    scaled to unit norm (preserving the nulls).
+    Per subcarrier one QR factorisation H^H = Q R gives the columns of
+    Q R^-H, which satisfy h_j^T w_k = delta_jk without the squared condition
+    number of inverting H H^H; each is then scaled to unit norm (preserving
+    the nulls). Raises ValueError naming the first rank-deficient
+    subcarrier: one whose smallest |R_kk| is at most 1e-12 of its largest.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 3:
@@ -92,15 +94,15 @@ def zf_weights(H: np.ndarray) -> PrecodingWeights:
     K, M, F = H.shape
     if K > M:
         raise ValueError(f"cannot zero-force {K} users with {M} antennas")
-    Hf = np.moveaxis(H, 2, 0)  # (F, K, M)
-    sv = np.linalg.svd(Hf, compute_uv=False)  # (F, K)
-    bad = np.flatnonzero(sv[:, -1] <= sv[:, 0] * 1e-12)
+    Q, R = np.linalg.qr(np.conj(np.transpose(H, (2, 1, 0))))  # (F, M, K), (F, K, K)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    bad = np.flatnonzero(~(diag.min(axis=1) > diag.max(axis=1) * 1e-12))  # NaN is bad too
     if bad.size:
         raise ValueError(f"rank-deficient channel matrix at subcarrier {int(bad[0])}")
-    gram = Hf @ np.conj(np.transpose(Hf, (0, 2, 1)))  # (F, K, K)
-    W = np.conj(np.transpose(Hf, (0, 2, 1))) @ np.linalg.inv(gram)  # (F, M, K)
-    W = W / np.linalg.norm(W, axis=1, keepdims=True)
-    return PrecodingWeights(np.transpose(W, (2, 1, 0)), PrecodingScheme.ZF)
+    # W = Q R^-H, solved as R W^H = Q^H (R is triangular, so no pivoting happens)
+    Wh = np.linalg.solve(R, np.conj(np.transpose(Q, (0, 2, 1))))  # (F, K, M)
+    W = np.conj(np.transpose(Wh, (1, 2, 0)))  # (K, M, F)
+    return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True), PrecodingScheme.ZF)
 
 
 def received_power(h_eval: np.ndarray, weights: PrecodingWeights,

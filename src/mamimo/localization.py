@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,16 +89,23 @@ class FingerprintDb:
 
 def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
                        topology: str = "") -> FingerprintDb:
-    """Build a database from labelled samples, streaming one at a time."""
-    rows, labels = [], []
-    for sample in samples:
-        if sample.label is None:
-            raise ValueError(f"sample {sample.sample_id!r} has no position label")
-        rows.append(extract_features(sample, cfg))
-        labels.append(sample.label.as_array())
-    dim = rows[0].shape[0] if rows else 0
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    labels_mm = np.array(labels, dtype=np.float64).reshape(len(rows), 3)
+    """Build a database from labelled samples, streaming each row into one matrix."""
+    labels = []
+
+    def rows():
+        for sample in samples:
+            if sample.label is None:
+                raise ValueError(f"sample {sample.sample_id!r} has no position label")
+            labels.append(sample.label.as_array())
+            yield extract_features(sample, cfg)
+
+    it = rows()
+    first = next(it, None)
+    if first is None:
+        features = np.empty((0, 0))
+    else:
+        features = np.fromiter(itertools.chain([first], it), dtype=(np.float64, first.size))
+    labels_mm = np.array(labels, dtype=np.float64).reshape(len(labels), 3)
     return FingerprintDb(features, labels_mm, cfg, topology)
 
 

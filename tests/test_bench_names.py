@@ -1,0 +1,64 @@
+"""The names the benchmark reads from mamimo still exist.
+
+``bench/`` calls the program through its public names (and a few internal
+ones the tracer wraps). Deleting or renaming one breaks ``bench/run.py``
+without failing any other test, so these checks resolve every such name.
+"""
+
+import ast
+import functools
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _missing(names) -> list[str]:
+    """Which (module, dotted attribute) pairs do not resolve."""
+    missing = []
+    for module, dotted in sorted(names):
+        try:
+            functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{dotted}")
+    return missing
+
+
+def _mamimo_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, dotted attribute) of every name the file reads from a mamimo
+    module: ``from mamimo.x import y`` imports and ``x.y.z`` chains on a module
+    bound by ``from mamimo import x``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mamimo":
+            for alias in node.names:
+                if node.module == "mamimo":
+                    modules[alias.asname or alias.name] = f"mamimo.{alias.name}"
+                else:
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        chain, value = [], node
+        while isinstance(value, ast.Attribute):
+            chain.append(value.attr)
+            value = value.value
+        if chain and isinstance(value, ast.Name) and value.id in modules:
+            reads.add((modules[value.id], ".".join(reversed(chain))))
+    return reads
+
+
+def test_traced_paths_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    paths = (path.split(".", 1) for _, path in tracing.TRACED)
+    traced = {(f"mamimo.{module}", dotted) for module, dotted in paths}
+    assert not _missing(traced), "bench/tracing.py wraps names mamimo no longer has"
+
+
+def test_names_read_by_workloads_exist():
+    reads = _mamimo_reads(BENCH / "workloads.py")
+    assert reads
+    assert not _missing(reads), "bench/workloads.py reads names mamimo no longer has"

@@ -81,7 +81,7 @@ class TestPlanning:
         g = SampleGrid(x_extent_mm=5, y_extent_mm=0, resolution_mm=5)  # 2 nodes
         g1 = SampleGrid(x_extent_mm=0, y_extent_mm=0)  # 1 node
         plan = plan_full_campaign([g, g1])
-        assert plan.slot_schedule() == [0, 1, 0]
+        assert [slot for slot, _ in plan.trigger_order()] == [0, 1, 0]
 
 
 class TestVirtualPositioner:
@@ -291,6 +291,20 @@ class TestRunCampaign:
         # slot 0 samples follow grid 0's traversal
         slot0 = [r.label for r in index.records if r.user_id == 0]
         assert slot0 == plan.waypoints[0]
+
+    def test_uneven_tables_follow_trigger_order(self, tmp_path, fast_radio, ura_small):
+        grids = default_positioner_grids(extent_mm=5.0, resolution_mm=5.0)[:2]
+        full = plan_full_campaign(grids)
+        plan = CampaignPlan(waypoints=[full.waypoints[0][:2], full.waypoints[1][:1]],
+                            grids=grids)
+        order = plan.trigger_order()
+        assert order == [(0, 0), (1, 0), (0, 1)]
+        index = simulate_campaign(plan, ura_small, fast_radio, tmp_path)
+        assert [r.sample_id for r in index.records] == [f"{n:06d}" for n in range(3)]
+        assert [r.user_id for r in index.records] == [slot for slot, _ in order]
+        assert [r.label for r in index.records] == [plan.waypoints[slot][step]
+                                                    for slot, step in order]
+        _assert_csi_matches_labels(index, ura_small, fast_radio)
 
     def test_simulated_clock_duration_is_exact(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),

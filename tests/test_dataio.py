@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,21 @@ class TestSampleFiles:
         write_sample(first, CsiSample(rng.standard_normal((3, 5)) * (1 + 1j)))
         write_sample(second, read_sample(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_layout_pinned_by_hand_built_file(self, tmp_path):
+        # header, then per antenna and subcarrier a float32 I followed by a float32 Q
+        h = np.array([[0.5 - 1.25j, -3.0 + 0.0j, 1e-3 + 7.0j],
+                      [2.0 + 0.25j, -0.0 - 6.5j, 1e6 - 1e-6j]]).astype(np.complex64)
+        body = b"".join(struct.pack("<ff", v.real, v.imag) for v in h.ravel())
+        raw = struct.pack("<4sBBHHH", b"CSI1", 1, 0, 2, 3, 0) + body
+        hand = tmp_path / "hand01.bin"
+        hand.write_bytes(raw)
+        loaded = read_sample(hand)
+        assert loaded.h.dtype == np.complex128
+        assert np.array_equal(loaded.h, h.astype(np.complex128))
+        written = tmp_path / "ours01.bin"
+        write_sample(written, CsiSample(h.astype(np.complex128)))
+        assert written.read_bytes() == raw
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"

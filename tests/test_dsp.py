@@ -121,6 +121,26 @@ class TestZfWeights:
         with pytest.raises(ValueError, match="subcarrier 0"):
             zf_weights(H)
 
+    @pytest.mark.parametrize("kappa", [10.0 ** e for e in range(2, 15)])
+    def test_ill_conditioned_channel_nulls_or_names_subcarrier(self, kappa):
+        # H_f = U diag(1, 1/kappa) V^H: zero-forcing must either null the other
+        # user or refuse by name, never return leaky beams or a bare LinAlgError.
+        rng = np.random.default_rng(7)
+        m, f = 64, 100
+        H = np.empty((2, m, f), dtype=complex)
+        for i in range(f):
+            u, _ = np.linalg.qr(random_channel(rng, 2, 2))
+            v, _ = np.linalg.qr(random_channel(rng, m, 2))
+            H[:, :, i] = u @ np.diag([1.0, 1.0 / kappa]) @ np.conj(v).T
+        try:
+            w = zf_weights(H).w
+        except ValueError as exc:
+            assert "subcarrier" in str(exc)
+            return
+        power = np.abs(np.einsum("kmf,jmf->kjf", H, w)) ** 2
+        assert np.all(power[0, 1] / power[0, 0] <= 1e-8)
+        assert np.all(power[1, 0] / power[1, 1] <= 1e-8)
+
     def test_too_many_users(self, rng):
         H = np.stack([random_channel(rng, 2, 1) for _ in range(3)])
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ class TestBuildFingerprints:
         s = los_channel(ura_small, pos, fast_radio)
         db = build_fingerprints([s, s])
         assert len(db) == 2
+
+    def test_build_peak_memory_is_about_two_feature_matrices(self, rng):
+        # the streamed matrix plus FingerprintDb's own copy; a list of rows beside
+        # them would make a third
+        h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
+        samples = (CsiSample(h, label=Position3(float(i), 0.0, 0.0)) for i in range(441))
+        tracemalloc.start()
+        try:
+            db = build_fingerprints(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert db.features.shape == (441, 12_800)
+        assert peak <= 2.2 * db.features.nbytes
 
 
 class TestKnnLocate:
