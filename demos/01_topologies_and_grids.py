@@ -9,7 +9,6 @@ geometry, and enumerates the positioner grids that tile the user area.
 import numpy as np
 
 from mamimo import TopologyKind, build_topology, default_positioner_grids, grid_positions
-from mamimo.geometry import geometry_to_csv
 
 # The rectangular panel: 8x8 elements, 70 mm pitch, centred 1 m above the
 # floor, facing the user area in +y.
@@ -29,11 +28,6 @@ print(f"ULA: centre-to-centre span {span:.0f} mm")
 da = build_topology(TopologyKind.DA)
 print(f"DA : {da.n_elements} elements, all facing vectors unit norm:",
       bool(np.allclose(np.linalg.norm(da.facings, axis=1), 1.0)))
-
-# Element lists can be exported (and re-imported) as a coordinate CSV, the
-# same format used to load a measured coordinate list.
-geometry_to_csv(da, "da_coordinates.csv")
-print("wrote da_coordinates.csv")
 
 # The user area is scanned by four positioner tables in a 2x2 arrangement.
 # At the default 5 mm resolution each 1250 mm x 1250 mm table gives a

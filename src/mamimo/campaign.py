@@ -8,9 +8,9 @@ their grids round-robin, one in-flight trigger at a time. Runner and
 capture service communicate only through the TCP trigger contract, so the
 service can live in another thread or another process.
 
-Timing is injectable: the default simulated clock makes a full campaign
-instant while keeping the bookkeeping (dwell per node, average step time)
-exact.
+The simulation runs as fast as the TCP round trips allow and never sleeps;
+a plan's ``duration_estimate_s`` gives the live duration from the per-node
+step time of the real tables.
 """
 
 from __future__ import annotations
@@ -66,32 +66,21 @@ class TriggerMessage:
         return self.payload.encode("ascii")
 
 
-class SimulatedClock:
-    """Instant clock: sleeping just advances the reading."""
-
-    def __init__(self):
-        self.now_s = 0.0
-
-    def sleep(self, seconds: float) -> None:
-        self.now_s += seconds
-
-
 # ---------------------------------------------------------------------------
 # traversal planning
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CampaignPlan:
-    """Waypoint lists (one per positioner slot) plus timing parameters."""
+    """Waypoint lists (one per positioner slot) plus the live time per node."""
 
     waypoints: list[list[Position3]]
     grids: list[SampleGrid]
-    dwell_s: float = 0.5
     step_s: float = 0.7
 
     def __post_init__(self):
-        if self.dwell_s < 0 or self.step_s < 0:
-            raise ValueError("dwell and step times must be nonnegative")
+        if self.step_s < 0:
+            raise ValueError("step time must be nonnegative")
         if len(self.waypoints) != len(self.grids):
             raise ValueError("one waypoint list per grid required")
         if len(self.grids) > 4:
@@ -129,18 +118,17 @@ class CampaignPlan:
 
 
 def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE,
-                   dwell_s: float = 0.5, step_s: float = 0.7) -> CampaignPlan:
+                   step_s: float = 0.7) -> CampaignPlan:
     """Plan a scan of one positioner grid, visiting every node exactly once."""
-    return CampaignPlan(waypoints=[grid_positions(grid, pattern)], grids=[grid],
-                        dwell_s=dwell_s, step_s=step_s)
+    return CampaignPlan(waypoints=[grid_positions(grid, pattern)], grids=[grid], step_s=step_s)
 
 
 def plan_full_campaign(grids, pattern: Traversal = Traversal.SERPENTINE,
-                       dwell_s: float = 0.5, step_s: float = 0.7) -> CampaignPlan:
+                       step_s: float = 0.7) -> CampaignPlan:
     """Plan a scan of several positioner grids driven in the same run."""
     grids = list(grids)
     return CampaignPlan(waypoints=[grid_positions(g, pattern) for g in grids],
-                        grids=grids, dwell_s=dwell_s, step_s=step_s)
+                        grids=grids, step_s=step_s)
 
 
 def default_campaign_plan(pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
@@ -426,7 +414,7 @@ class SyntheticChannelSource:
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                  topology: str = "", radio: RadioConfig | None = None,
-                 user_ids=None, clock=None, timeout: float = 5.0) -> DatasetIndex:
+                 user_ids=None, timeout: float = 5.0) -> DatasetIndex:
     """Drive the positioners over the plan, triggering one capture per node.
 
     ``positioners`` are objects with the text-protocol ``execute`` surface
@@ -441,8 +429,6 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
         raise ValueError("one positioner per plan slot required")
     if user_ids is None:
         user_ids = list(range(len(positioners)))
-    if clock is None:
-        clock = SimulatedClock()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -466,8 +452,7 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                     f"positioner {slot} rejected waypoint {step} ({target.x}, {target.y}): "
                     f"{reply.strip()!r}"
                 )
-        # ... then everyone dwells while the captures are triggered in slot order
-        clock.sleep(plan.dwell_s)
+        # ... then the captures are triggered in slot order
         for n, slot in group:
             sample_id = f"{n:06d}"
             result = trigger_capture(capture_address, sample_id, timeout=timeout)
@@ -478,7 +463,6 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                 )
             records.append(SampleRecord(sample_id, out_dir / f"{sample_id}.bin",
                                         plan.waypoints[slot][step], user_ids[slot]))
-        clock.sleep(max(plan.step_s - plan.dwell_s, 0.0))
 
     index = DatasetIndex(records=records, topology=topology, radio=radio)
     save_index(out_dir / "index.csv", index)
@@ -489,8 +473,7 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
                       out_dir, cfg: chan.ChannelConfig | None = None,
                       topology: str = "", scatterers=(), snr_db: float = float("inf"),
                       seed: int = 0, positioner_error_mm: float = 0.0,
-                      user_ids=None, clock=None,
-                      capture_address=("127.0.0.1", 0),
+                      user_ids=None, capture_address=("127.0.0.1", 0),
                       positioner_address=None) -> DatasetIndex:
     """End-to-end simulated campaign: positioners, capture service, runner.
 
@@ -524,8 +507,7 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
             drivers = [TcpPositioner(s.address) for s in servers]
         with CaptureService(out_dir, source, address=capture_address) as service:
             return run_campaign(plan, drivers, service.address, out_dir,
-                                topology=topology, radio=radio, user_ids=user_ids,
-                                clock=clock)
+                                topology=topology, radio=radio, user_ids=user_ids)
     finally:
         for server in servers:
             server.stop()

@@ -211,12 +211,3 @@ def load_scatterers(path) -> list[Scatterer]:
             scatterers.append(Scatterer(Position3(x, y, z), complex(gre, gim)))
     return scatterers
 
-
-def save_scatterers(scatterers, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_mm", "y_mm", "z_mm", "gamma_re", "gamma_im"])
-        for sc in scatterers:
-            writer.writerow([repr(sc.position.x), repr(sc.position.y), repr(sc.position.z),
-                             repr(sc.reflection.real), repr(sc.reflection.imag)])
-

@@ -51,21 +51,15 @@ def _snr(text: str) -> float:
     return math.inf if text.lower() in ("inf", "none", "off") else float(text)
 
 
-def _topology(args) -> TopologyKind:
-    return TopologyKind(args.topology)
-
-
 def _geometry(args):
-    return build_topology(_topology(args), standoff_mm=getattr(args, "standoff_mm", DEFAULT_STANDOFF_MM))
+    return build_topology(args.topology, standoff_mm=getattr(args, "standoff_mm", DEFAULT_STANDOFF_MM))
 
 
-def _grid(args, default_origin=None) -> SampleGrid:
-    if getattr(args, "origin_mm", None) is not None:
+def _grid(args) -> SampleGrid:
+    if args.origin_mm is not None:
         ox, oy = args.origin_mm[0], args.origin_mm[1]
-    elif default_origin is not None:
-        ox, oy = default_origin
     else:
-        ox, oy = -args.extent_mm / 2.0, getattr(args, "standoff_mm", DEFAULT_STANDOFF_MM)
+        ox, oy = -args.extent_mm / 2.0, args.standoff_mm
     return SampleGrid(origin=Position3(ox, oy, DEFAULT_HEIGHT_MM),
                       x_extent_mm=args.extent_mm, y_extent_mm=args.extent_mm,
                       resolution_mm=args.resolution_mm)
@@ -86,7 +80,7 @@ def _add_common(parser, extent=100.0, resolution=25.0):
 
 
 def _scatterers(args):
-    if getattr(args, "scatterers", None) is None:
+    if args.scatterers is None:
         return []
     return chan.load_scatterers(args.scatterers)
 
@@ -227,7 +221,7 @@ def _cmd_locate(args) -> int:
     if args.loo:
         report = loc.leave_one_out_report(db, k=args.k)
     else:
-        queries = list(_synth_samples(args, grid, chan.STREAM_QUERY, args.query_snr_db))
+        queries = _synth_samples(args, grid, chan.STREAM_QUERY, args.query_snr_db)
         report = loc.evaluate_localizer(db, queries, k=args.k)
     loc.report_to_csv(report, args.out)
     print(f"localization over {len(report.errors_mm)} queries: "
@@ -265,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positioners", type=int, choices=range(1, 5), default=1)
     p.add_argument("--pattern", choices=[t.value for t in Traversal], default="serpentine")
     p.add_argument("--positioner-error-mm", type=float, default=0.0)
+    # string defaults from the environment are parsed only when this subcommand runs
     p.add_argument("--capture-addr", type=_parse_address,
-                   default=os.environ.get(CAPTURE_ADDR_ENV) and
-                   _parse_address(os.environ[CAPTURE_ADDR_ENV]))
+                   default=os.environ.get(CAPTURE_ADDR_ENV))
     p.add_argument("--positioner-addr", type=_parse_address,
-                   default=os.environ.get(POSITIONER_ADDR_ENV) and
-                   _parse_address(os.environ[POSITIONER_ADDR_ENV]),
+                   default=os.environ.get(POSITIONER_ADDR_ENV),
                    help="also expose the virtual tables over TCP and drive them "
                         "through that protocol (port 0 picks free ports)")
     p.set_defaults(func=_cmd_campaign)
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", choices=[k.value for k in TopologyKind], default="ura")
     p.add_argument("--out", required=True)
     p.add_argument("--addr", type=_parse_address,
-                   default=_parse_address(os.environ.get(CAPTURE_ADDR_ENV, "127.0.0.1:7531")))
+                   default=os.environ.get(CAPTURE_ADDR_ENV, "127.0.0.1:7531"))
     p.add_argument("--position", type=_parse_point, default=(0.0, 1500.0),
                    help="fixed synthetic user position x,y[,z] in mm")
     p.add_argument("--snr-db", type=_snr, default=math.inf)

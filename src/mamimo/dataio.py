@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import parse_config_text, radio_config_from_mapping
 from .model import CsiSample, Position3, RadioConfig, SAMPLE_ID_PATTERN
 
 MAGIC = b"CSI1"
@@ -153,6 +152,27 @@ class DatasetIndex:
         return iter(self.records)
 
 
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines; ``#`` starts a comment, blanks ignored."""
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    return values
+
+
+def radio_config_from_mapping(values: dict[str, str]) -> RadioConfig:
+    """Build a RadioConfig from the keys ``save_index`` writes, using defaults
+    for the rest; each value is cast to the type of its field's default."""
+    return RadioConfig(**{f.name: type(f.default)(values[f.name])
+                          for f in fields(RadioConfig) if f.name in values})
+
+
 def save_index(path, index: DatasetIndex) -> None:
     """Write the index CSV with config comments, LF line endings."""
     lines = [f"# topology = {index.topology}"]
@@ -169,8 +189,8 @@ def save_index(path, index: DatasetIndex) -> None:
 def load_index(path) -> DatasetIndex:
     """Load an index CSV; sample files are resolved next to the index.
 
-    Fails on duplicate sample ids (naming the id), malformed rows and
-    referenced files that do not exist.
+    Fails on duplicate sample ids (naming the id), malformed rows or radio
+    comments, and referenced files that do not exist.
     """
     path = Path(path)
     base = path.parent
@@ -203,9 +223,12 @@ def load_index(path) -> DatasetIndex:
             if not sample_path.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: missing sample file {sample_path}")
             records.append(SampleRecord(sample_id, sample_path, label, user_id))
-    config = parse_config_text("\n".join(comments))
-    has_radio = any(f.name in config for f in fields(RadioConfig))
-    radio = radio_config_from_mapping(config) if has_radio else None
+    try:
+        config = parse_config_text("\n".join(comments))
+        has_radio = any(f.name in config for f in fields(RadioConfig))
+        radio = radio_config_from_mapping(config) if has_radio else None
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: comment header: {exc}") from exc
     return DatasetIndex(records=records, topology=config.get("topology", ""), radio=radio)
 
 

@@ -59,9 +59,6 @@ class PrecodingWeights:
     def n_users(self) -> int:
         return self.w.shape[0]
 
-    def per_user(self, k: int) -> np.ndarray:
-        return self.w[k]
-
 
 def mrt_weights(h: np.ndarray) -> PrecodingWeights:
     """Maximum-ratio weights for one user: w_k = conj(h_k) / ||h_k||.
@@ -105,9 +102,8 @@ def zf_weights(H: np.ndarray) -> PrecodingWeights:
     return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True), PrecodingScheme.ZF)
 
 
-def received_power(h_eval: np.ndarray, weights: PrecodingWeights,
-                   budget: LinkBudget, user: int = 0):
-    """Power received at an evaluation channel from one user's beams.
+def received_power(h_eval: np.ndarray, weights: PrecodingWeights, budget: LinkBudget):
+    """Power received at an evaluation channel from the first user's beams.
 
     Returns (per_subcarrier, total) linear powers, where per-subcarrier
     power is P_user * |h_k^T w_k|^2 and the total is the mean over
@@ -115,7 +111,7 @@ def received_power(h_eval: np.ndarray, weights: PrecodingWeights,
     scheduled users.
     """
     h_eval = np.asarray(h_eval, dtype=np.complex128)
-    w = weights.per_user(user)
+    w = weights.w[0]
     if h_eval.shape != w.shape:
         raise ValueError(f"evaluation channel {h_eval.shape} does not match weights {w.shape}")
     p_user = budget.per_user_power(weights.n_users)

@@ -1,103 +1,89 @@
-"""Array topology construction, positioner grids and their file formats.
+"""Array topology construction and positioner grids.
 
 Three 64-element deployments are supported: a rectangular 8x8 panel (URA),
 a 64-element line (ULA), both placed in the array plane y = 0 facing the
 user area in +y, and a distributed deployment (DA) of eight 8-element
 sub-arrays on an octagon around the user area, facing inward.
 
-Distances between element centres default to 70 mm and array height to
-1000 mm above the floor. The user area ("ROI") is the square covered by
-the four positioner tables; it starts at a configurable standoff from the
-array plane. None of the offsets are hard-coded: everything can be loaded
-from a key-value config file or an explicit coordinate CSV.
+Distances between element centres are 70 mm and the array height is 1000 mm
+above the floor. The user area ("ROI") is the square covered by the four
+positioner tables; it starts at a configurable standoff from the array
+plane, the one offset every command can set.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .model import ArrayGeometry, Position3, SampleGrid, TopologyKind, Traversal
 
-DEFAULT_SPACING_MM = 70.0
+SPACING_MM = 70.0
 DEFAULT_HEIGHT_MM = 1000.0
 DEFAULT_STANDOFF_MM = 1000.0
-DEFAULT_OCTAGON_RADIUS_MM = 2500.0
+OCTAGON_RADIUS_MM = 2500.0
+ULA_ELEMENTS = 64
+DA_SUBARRAYS = 8
+DA_SUBARRAY_ELEMENTS = 8
 
 
-def roi_center(standoff_mm: float = DEFAULT_STANDOFF_MM,
-               roi_size_mm: float = 2505.0,
-               height_mm: float = DEFAULT_HEIGHT_MM) -> Position3:
-    """Centre of the user area: the square of all four positioner tables."""
-    return Position3(0.0, standoff_mm + roi_size_mm / 2.0, height_mm)
+def roi_center(standoff_mm: float = DEFAULT_STANDOFF_MM) -> Position3:
+    """Centre of the user area: the 2505 mm square of all four positioner tables."""
+    return Position3(0.0, standoff_mm + 2505.0 / 2.0, DEFAULT_HEIGHT_MM)
 
 
 def build_topology(kind: TopologyKind | str,
-                   spacing_mm: float = DEFAULT_SPACING_MM,
-                   height_mm: float = DEFAULT_HEIGHT_MM,
                    standoff_mm: float = DEFAULT_STANDOFF_MM,
-                   octagon_radius_mm: float = DEFAULT_OCTAGON_RADIUS_MM,
-                   ura_shape: tuple[int, int] = (8, 8),
-                   ula_elements: int = 64,
-                   da_subarrays: int = 8,
-                   da_subarray_elements: int = 8) -> ArrayGeometry:
+                   ura_shape: tuple[int, int] = (8, 8)) -> ArrayGeometry:
     """Construct the element layout of one of the supported deployments.
 
-    URA: ``ura_shape`` panel in the x/z plane, centred on x = 0 at
-    ``height_mm``, facing +y. Element order is row-major from the bottom
+    URA: ``ura_shape`` panel in the x/z plane, centred on x = 0 at the
+    array height, facing +y. Element order is row-major from the bottom
     row, left to right.
 
-    ULA: ``ula_elements`` colinear elements along x, centred on x = 0; the
-    span between first and last element centres is (n-1) * spacing (4410 mm
-    at defaults; adding one element-width footprint gives the often-quoted
-    4480 mm).
+    ULA: 64 colinear elements along x, centred on x = 0; the span between
+    first and last element centres is 63 * 70 mm = 4410 mm (adding one
+    element-width footprint gives the often-quoted 4480 mm).
 
-    DA: ``da_subarrays`` short lines of ``da_subarray_elements`` placed at
-    the vertices of an octagon of ``octagon_radius_mm`` around the user-area
-    centre, each tangential to the octagon and facing the centre.
+    DA: eight short lines of eight elements placed at the vertices of an
+    octagon of radius 2500 mm around the user-area centre, each tangential
+    to the octagon and facing the centre.
     """
     kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
-    if spacing_mm <= 0:
-        raise ValueError("element spacing must be positive")
 
     if kind is TopologyKind.URA:
         rows, cols = ura_shape
         if rows < 1 or cols < 1:
             raise ValueError("ura_shape must be at least 1x1")
-        xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing_mm
-        zs = height_mm + (np.arange(rows) - (rows - 1) / 2.0) * spacing_mm
+        xs = (np.arange(cols) - (cols - 1) / 2.0) * SPACING_MM
+        zs = DEFAULT_HEIGHT_MM + (np.arange(rows) - (rows - 1) / 2.0) * SPACING_MM
         positions = np.array([[x, 0.0, z] for z in zs for x in xs])
         facings = np.tile([0.0, 1.0, 0.0], (rows * cols, 1))
         return ArrayGeometry(kind, positions, facings)
 
     if kind is TopologyKind.ULA:
-        if ula_elements < 1:
-            raise ValueError("ula_elements must be at least 1")
-        xs = (np.arange(ula_elements) - (ula_elements - 1) / 2.0) * spacing_mm
-        positions = np.column_stack([xs, np.zeros(ula_elements), np.full(ula_elements, height_mm)])
-        facings = np.tile([0.0, 1.0, 0.0], (ula_elements, 1))
+        n = ULA_ELEMENTS
+        xs = (np.arange(n) - (n - 1) / 2.0) * SPACING_MM
+        positions = np.column_stack([xs, np.zeros(n), np.full(n, DEFAULT_HEIGHT_MM)])
+        facings = np.tile([0.0, 1.0, 0.0], (n, 1))
         return ArrayGeometry(kind, positions, facings)
 
     if kind is TopologyKind.DA:
-        if octagon_radius_mm <= 0:
-            raise ValueError("octagon radius must be positive")
-        center = roi_center(standoff_mm=standoff_mm, height_mm=height_mm)
+        center = roi_center(standoff_mm=standoff_mm)
         positions = []
         facings = []
-        for vertex in range(da_subarrays):
-            theta = 2.0 * math.pi * vertex / da_subarrays
-            vx = center.x + octagon_radius_mm * math.cos(theta)
-            vy = center.y + octagon_radius_mm * math.sin(theta)
+        for vertex in range(DA_SUBARRAYS):
+            theta = 2.0 * math.pi * vertex / DA_SUBARRAYS
+            vx = center.x + OCTAGON_RADIUS_MM * math.cos(theta)
+            vy = center.y + OCTAGON_RADIUS_MM * math.sin(theta)
             # tangential direction along which the sub-array line extends
             tx, ty = -math.sin(theta), math.cos(theta)
             inward = np.array([center.x - vx, center.y - vy, 0.0])
             inward /= np.linalg.norm(inward)
-            offsets = (np.arange(da_subarray_elements) - (da_subarray_elements - 1) / 2.0) * spacing_mm
+            offsets = (np.arange(DA_SUBARRAY_ELEMENTS) - (DA_SUBARRAY_ELEMENTS - 1) / 2.0) * SPACING_MM
             for off in offsets:
-                positions.append([vx + off * tx, vy + off * ty, height_mm])
+                positions.append([vx + off * tx, vy + off * ty, DEFAULT_HEIGHT_MM])
                 facings.append(inward)
         return ArrayGeometry(kind, np.array(positions), np.array(facings))
 
@@ -126,109 +112,18 @@ def grid_positions(grid: SampleGrid, order: Traversal = Traversal.RASTER) -> lis
 
 def default_positioner_grids(standoff_mm: float = DEFAULT_STANDOFF_MM,
                              extent_mm: float = 1250.0,
-                             resolution_mm: float = 5.0,
-                             gap_mm: float | None = None,
-                             height_mm: float = DEFAULT_HEIGHT_MM) -> list[SampleGrid]:
+                             resolution_mm: float = 5.0) -> list[SampleGrid]:
     """The four positioner tables in their 2x2 arrangement.
 
-    Adjacent tables are separated by ``gap_mm`` (default: one grid step) so
-    that the four node sets never share a coordinate and the combined
-    campaign covers 4 * 63,001 distinct positions at defaults.
+    Adjacent tables are separated by one grid step so that the four node
+    sets never share a coordinate and the combined campaign covers
+    4 * 63,001 distinct positions at defaults.
     """
-    if gap_mm is None:
-        gap_mm = resolution_mm
-    pitch = extent_mm + gap_mm
-    x0 = -(extent_mm + gap_mm / 2.0)  # symmetric about x = 0
+    pitch = extent_mm + resolution_mm
+    x0 = -(extent_mm + resolution_mm / 2.0)  # symmetric about x = 0
     grids = []
     for pid, (col, row) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-        origin = Position3(x0 + col * pitch, standoff_mm + row * pitch, height_mm)
+        origin = Position3(x0 + col * pitch, standoff_mm + row * pitch, DEFAULT_HEIGHT_MM)
         grids.append(SampleGrid(origin=origin, x_extent_mm=extent_mm, y_extent_mm=extent_mm,
                                 resolution_mm=resolution_mm, positioner_id=pid))
     return grids
-
-
-# ---------------------------------------------------------------------------
-# config file (key = value) and coordinate-list CSV
-# ---------------------------------------------------------------------------
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment, blanks ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def load_config(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
-def radio_config_from_mapping(values: dict[str, str]):
-    """Build a RadioConfig from config-file keys, using defaults for the rest."""
-    from .model import RadioConfig
-
-    kwargs = {}
-    for f, cast in [
-        ("carrier_hz", float), ("subcarrier_spacing_hz", float),
-        ("total_subcarriers", int), ("pilot_count", int), ("interleave_factor", int),
-        ("tx_power_dbm", float), ("rx_gain_db", float), ("symbol_duration_s", float),
-    ]:
-        if f in values:
-            kwargs[f] = cast(values[f])
-    return RadioConfig(**kwargs)
-
-
-def topology_from_mapping(values: dict[str, str]) -> ArrayGeometry:
-    """Build a topology from config-file keys (``kind`` plus optional overrides)."""
-    kwargs = {}
-    for f in ("spacing_mm", "height_mm", "standoff_mm", "octagon_radius_mm"):
-        if f in values:
-            kwargs[f] = float(values[f])
-    return build_topology(values.get("kind", "ura"), **kwargs)
-
-
-def geometry_from_csv(path, kind: TopologyKind | str = TopologyKind.DA) -> ArrayGeometry:
-    """Load an explicit element list: ``element_id,x_mm,y_mm,z_mm,nx,ny,nz``.
-
-    Rows are sorted by element_id so file order does not matter; facing
-    vectors are normalized. This is how a measured coordinate list replaces
-    the synthetic defaults.
-    """
-    kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip() == "element_id":  # optional header
-                continue
-            if len(row) != 7:
-                raise ValueError(f"line {lineno}: expected 7 columns, got {len(row)}")
-            rows.append((int(row[0]), *[float(v) for v in row[1:]]))
-    if not rows:
-        raise ValueError(f"no elements in coordinate file {path}")
-    ids = [r[0] for r in rows]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate element_id in coordinate file")
-    rows.sort(key=lambda r: r[0])
-    positions = np.array([r[1:4] for r in rows])
-    facings = np.array([r[4:7] for r in rows])
-    norms = np.linalg.norm(facings, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("zero facing vector in coordinate file")
-    return ArrayGeometry(kind, positions, facings / norms)
-
-
-def geometry_to_csv(geom: ArrayGeometry, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["element_id", "x_mm", "y_mm", "z_mm", "nx", "ny", "nz"])
-        for i in range(geom.n_elements):
-            writer.writerow([i, *(repr(float(v)) for v in geom.positions_mm[i]),
-                             *(repr(float(v)) for v in geom.facings[i])])

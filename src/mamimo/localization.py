@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import BadMagicError, TruncatedFileError, VersionMismatchError
+from .dataio import BadMagicError, DatasetIOError, TruncatedFileError, VersionMismatchError
 from .model import CsiSample, Position3
 
 
@@ -26,11 +26,6 @@ class FeatureMode(enum.Enum):
     RAW_UNIT_NORM = "raw_unit_norm"
     MAGNITUDE_ONLY = "magnitude_only"
     PHASE_RELATIVE = "phase_relative_to_first_antenna"
-
-
-class Weighting(enum.Enum):
-    UNIFORM = "uniform"
-    INVERSE_DISTANCE = "inverse_distance"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,20 +142,18 @@ def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = Fals
     return idx, dist
 
 
-def _weighted_label_mean(db: FingerprintDb, idx, dists, weighting: Weighting) -> np.ndarray:
+def _weighted_label_mean(db: FingerprintDb, idx, dists) -> np.ndarray:
+    """Inverse-distance weighted mean of the (B, k) neighbours' labels, per query."""
     labels = db.labels_mm[idx]  # (B, k, 3), one row of estimates per query
-    if weighting is Weighting.UNIFORM:
-        return labels.mean(axis=1)
     weights = 1.0 / (dists + 1e-12)
     return (labels * weights[..., None]).sum(axis=1) / weights.sum(axis=1)[:, None]
 
 
-def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5,
-               weighting: Weighting = Weighting.INVERSE_DISTANCE) -> Position3:
-    """Estimate the query position as the (inverse-distance) weighted mean of the
+def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5) -> Position3:
+    """Estimate the query position as the inverse-distance weighted mean of the
     positions of its k nearest fingerprints in feature space (ties by database order)."""
     q = extract_features(query, db.config)[None, :]
-    return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, q, k), weighting)[0]))
+    return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, q, k))[0]))
 
 
 @dataclass(frozen=True)
@@ -186,23 +179,28 @@ class LocalizationReport:
                    p95_mm=float(np.percentile(errors_mm, 95)))
 
 
-def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5,
-                       weighting: Weighting = Weighting.INVERSE_DISTANCE) -> LocalizationReport:
-    """Locate every labelled test sample, as one batch, and aggregate the errors."""
-    samples = list(test_samples)
-    test = build_fingerprints(samples, db.config)
+def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> LocalizationReport:
+    """Locate every labelled test sample, as one batch, and aggregate the errors.
+    The samples stream: only their features and ids are kept."""
+    ids = []
+
+    def tracked():
+        for sample in test_samples:
+            ids.append(sample.sample_id)
+            yield sample
+
+    test = build_fingerprints(tracked(), db.config)
     if len(test) == 0:
         raise ValueError("test set is empty")
-    d = _weighted_label_mean(db, *_nearest(db, test.features, k), weighting) - test.labels_mm
+    d = _weighted_label_mean(db, *_nearest(db, test.features, k)) - test.labels_mm
     errors = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)  # as Position3.distance_mm
-    return LocalizationReport.from_errors(errors, [s.sample_id for s in samples])
+    return LocalizationReport.from_errors(errors, ids)
 
 
-def leave_one_out_report(db: FingerprintDb, k: int = 4,
-                         weighting: Weighting = Weighting.INVERSE_DISTANCE) -> LocalizationReport:
+def leave_one_out_report(db: FingerprintDb, k: int = 4) -> LocalizationReport:
     """Locate every fingerprint as a query that may not match itself, which equals
     querying a database with that row removed; ties still go by database order."""
-    est = _weighted_label_mean(db, *_nearest(db, db.features, k, exclude_self=True), weighting)
+    est = _weighted_label_mean(db, *_nearest(db, db.features, k, exclude_self=True))
     return LocalizationReport.from_errors(np.linalg.norm(est - db.labels_mm, axis=1))
 
 
@@ -222,6 +220,10 @@ def report_to_csv(report: LocalizationReport, path) -> None:
 FPDB_MAGIC = b"FPDB"
 FPDB_VERSION = 1
 _FPDB_HEADER = struct.Struct("<4sBBHII")  # magic, version, mode, tag length, N, D
+
+
+class FeatureModeError(DatasetIOError):
+    """The header's feature-mode byte names no FeatureMode."""
 
 
 def save_fingerprints(db: FingerprintDb, path) -> None:
@@ -249,13 +251,15 @@ def load_fingerprints(path) -> FingerprintDb:
             raise BadMagicError(f"{path}: bad magic {magic!r}, expected {FPDB_MAGIC!r}")
         if version != FPDB_VERSION:
             raise VersionMismatchError(f"{path}: version {version}, expected {FPDB_VERSION}")
+        if mode_index >= len(FeatureMode):
+            raise FeatureModeError(f"{path}: feature mode {mode_index}, expected 0 to "
+                                   f"{len(FeatureMode) - 1}")
         tag = fh.read(tag_len)
-        body = fh.read(8 * n * d + 8 * n * 3)
-        if len(tag) < tag_len or len(body) < 8 * n * d + 8 * n * 3:
+        body = np.empty(n * d + n * 3, dtype="<f8")  # features then labels, read in place
+        if len(tag) < tag_len or fh.readinto(body) < body.nbytes:
             raise TruncatedFileError(f"{path}: body shorter than the header declares")
         if fh.read(1):
             raise TruncatedFileError(f"{path}: trailing bytes after declared body")
-    features = np.frombuffer(body[: 8 * n * d], dtype="<f8").reshape(n, d)
-    labels = np.frombuffer(body[8 * n * d:], dtype="<f8").reshape(n, 3)
     mode = list(FeatureMode)[mode_index]
-    return FingerprintDb(features, labels, FeatureConfig(mode), tag.decode("utf-8"))
+    return FingerprintDb(body[: n * d].reshape(n, d), body[n * d:].reshape(n, 3),
+                         FeatureConfig(mode), tag.decode("utf-8"))

@@ -65,9 +65,6 @@ class Schedule:
         if any(len(g) > self.group_size for g in self.groups):
             raise ValueError(f"groups must not exceed size {self.group_size}")
 
-    def scheduled_users(self) -> list[int]:
-        return [i for g in self.groups for i in g]
-
 
 def sus_select(pool: UserPool, alpha: float = 0.3, max_users: int | None = None) -> list[int]:
     """Greedy semi-orthogonal user selection on wideband channels.

@@ -16,7 +16,6 @@ from mamimo.channel import (
     los_channel,
     multipath_channel,
     pilot_frequencies,
-    save_scatterers,
     synthesize_sample,
 )
 from mamimo.geometry import build_topology
@@ -277,12 +276,11 @@ class TestAddNoise:
 
 class TestScattererCsv:
     def test_roundtrip(self, tmp_path):
-        scs = [Scatterer(Position3(1.5, -2.0, 3.25), 0.5 - 0.25j),
-               Scatterer(Position3(0, 0, 10), 1j)]
         path = tmp_path / "scatterers.csv"
-        save_scatterers(scs, path)
-        loaded = load_scatterers(path)
-        assert loaded == scs
+        path.write_text("x_mm,y_mm,z_mm,gamma_re,gamma_im\n"
+                        "# a comment line\n1.5,-2.0,3.25,0.5,-0.25\n0,0,10,0,1\n")
+        assert load_scatterers(path) == [Scatterer(Position3(1.5, -2.0, 3.25), 0.5 - 0.25j),
+                                         Scatterer(Position3(0, 0, 10), 1j)]
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -53,6 +53,15 @@ class TestSynthAndInspect:
         out = capsys.readouterr().out
         assert "M=64" in out and "F=100" in out and "51212" in out
 
+    def test_inspect_ignores_malformed_address_env_vars(self, tmp_path, rng, monkeypatch, capsys):
+        # only the subcommands that take an address parse these variables
+        monkeypatch.setenv("CSI_CAPTURE_ADDR", "nonsense")
+        monkeypatch.setenv("CSI_POSITIONER_ADDR", "nonsense")
+        path = tmp_path / "000042.bin"
+        write_sample(path, CsiSample(random_csi_matrix(rng, 64, 100)))
+        assert run_cli("inspect", str(path)) == 0
+        assert "M=64" in capsys.readouterr().out
+
     def test_inspect_bad_file_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"garbage")
@@ -89,6 +98,17 @@ class TestCampaignTcpPositioners:
                        "--resolution-mm", "5", "--positioner-addr", "127.0.0.1:0")
         assert code == 0
         assert len(load_index(out / "index.csv")) == 4
+
+    @pytest.mark.parametrize("env", ["CSI_CAPTURE_ADDR", "CSI_POSITIONER_ADDR"])
+    def test_malformed_address_env_var_is_a_campaign_usage_error(self, tmp_path, monkeypatch,
+                                                                 capsys, env):
+        monkeypatch.setenv(env, "nonsense")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("campaign", "--out", str(tmp_path / "campaign"), "--extent-mm", "5",
+                    "--resolution-mm", "5")
+        assert exc.value.code == 2
+        assert "nonsense" in capsys.readouterr().err
+        assert not (tmp_path / "campaign").exists()
 
     def test_positioner_env_var_honoured(self, tmp_path, monkeypatch):
         from mamimo.cli import POSITIONER_ADDR_ENV

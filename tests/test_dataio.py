@@ -16,6 +16,8 @@ from mamimo.dataio import (
     VersionMismatchError,
     iter_samples,
     load_index,
+    parse_config_text,
+    radio_config_from_mapping,
     read_sample,
     sample_file_size,
     save_index,
@@ -203,6 +205,30 @@ class TestIndex:
         path = tmp_path / "abcdef\n.bin"
         write_sample(path, CsiSample(random_csi_matrix(rng, 1, 1)))
         assert read_sample(path).sample_id == "000000"
+
+
+class TestConfigText:
+    def test_parse_key_value(self):
+        values = parse_config_text("# comment\ncarrier_hz = 3.5e9\n\nkind = ula # inline\n")
+        assert values == {"carrier_hz": "3.5e9", "kind": "ula"}
+
+    def test_malformed_line_rejected(self):
+        with pytest.raises(ValueError):
+            parse_config_text("no equals sign here")
+
+    def test_radio_from_mapping(self):
+        r = radio_config_from_mapping({"carrier_hz": "3.5e9", "tx_power_dbm": "20"})
+        assert r.carrier_hz == 3.5e9
+        assert r.tx_power_dbm == 20.0
+        assert r.total_subcarriers == 1200  # untouched default
+
+    @pytest.mark.parametrize("comment", ["# carrier_hz = abc", "# pilot_count = 1.5",
+                                         "# pilot_count = 99", "# no key here"])
+    def test_malformed_radio_comment_names_the_index(self, tmp_path, comment):
+        path = tmp_path / "index.csv"
+        path.write_text(f"# topology = ura\n{comment}\nsample_id,user_id,x_mm,y_mm,z_mm\n")
+        with pytest.raises(IndexFormatError, match="index.csv"):
+            load_index(path)
 
 
 class TestStreaming:

@@ -29,13 +29,13 @@ def random_channel(rng, m, f):
 class TestMrtWeights:
     def test_single_antenna_unit_magnitude(self, rng):
         h = random_channel(rng, 1, 5)
-        w = mrt_weights(h).per_user(0)
+        w = mrt_weights(h).w[0]
         assert np.allclose(np.abs(w), 1.0, atol=1e-12)
         assert np.allclose(w, np.conj(h) / np.abs(h), atol=1e-12)
 
     def test_matched_amplitude_equals_channel_norm(self, rng):
         h = random_channel(rng, 64, 100)
-        w = mrt_weights(h).per_user(0)
+        w = mrt_weights(h).w[0]
         amps = np.einsum("mf,mf->f", h, w)
         norms = np.linalg.norm(h, axis=0)
         assert np.allclose(amps, norms, rtol=1e-12, atol=0)
@@ -43,7 +43,7 @@ class TestMrtWeights:
 
     def test_cauchy_schwarz_bound(self, rng):
         h = random_channel(rng, 64, 1)
-        w = mrt_weights(h).per_user(0)
+        w = mrt_weights(h).w[0]
         for _ in range(100):
             g = random_channel(rng, 64, 1)
             gain = np.abs(np.einsum("mf,mf->f", g, w)) ** 2

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from mamimo import localization
 from mamimo.channel import NoiseSpec, add_noise, los_channel
-from mamimo.dataio import BadMagicError
+from mamimo.dataio import BadMagicError, DatasetIOError, TruncatedFileError
 from mamimo.geometry import build_topology, grid_positions
 from mamimo.localization import (
     FeatureConfig,
     FeatureMode,
     FingerprintDb,
     LocalizationReport,
-    Weighting,
     build_fingerprints,
     evaluate_localizer,
     extract_features,
@@ -135,7 +134,7 @@ class TestKnnLocate:
             CsiSample(np.array([[0.0, 1.0 + 0j]]), label=Position3(10, 0, 0)),
         ])
         query = CsiSample(np.array([[1.0 + 0j, 1.0 + 0j]]))
-        est = knn_locate(db, query, k=2, weighting=Weighting.UNIFORM)
+        est = knn_locate(db, query, k=2)
         assert est == Position3(5.0, 0.0, 0.0)
 
     def test_ties_resolved_by_database_order(self):
@@ -207,6 +206,24 @@ class TestEvaluateAndLeaveOneOut:
         report = evaluate_localizer(db, queries, k=5)
         assert report.mean_mm == pytest.approx(DA_20DB_MEAN_BASELINE_MM, rel=0.10)
 
+    def test_streamed_queries_peak_memory_is_about_two_feature_matrices(self, rng):
+        # the streamed test features plus their FingerprintDb copy; the samples
+        # themselves are as large again and must not stay alive
+        def sample(i):
+            h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
+            return CsiSample(h, label=Position3(float(i), 0.0, 0.0), sample_id=f"{i:06d}")
+
+        db = build_fingerprints(sample(i) for i in range(50))
+        queries = (sample(i) for i in range(441))
+        tracemalloc.start()
+        try:
+            report = evaluate_localizer(db, queries, k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.sample_ids == tuple(f"{i:06d}" for i in range(441))
+        assert peak <= 2.2 * 441 * 12_800 * 8
+
     def test_empty_test_set_rejected(self, fast_radio, ura_small):
         s = los_channel(ura_small, Position3(0, 1500, 1000), fast_radio)
         db = build_fingerprints([s])
@@ -235,11 +252,9 @@ def near_duplicate_samples(rng, n_far=5):
             for i, m in enumerate(hs)]
 
 
-def direct_estimate(db, query, k, weighting=Weighting.INVERSE_DISTANCE):
+def direct_estimate(db, query, k):
     dists = np.linalg.norm(db.features - extract_features(query, db.config), axis=1)
     nearest = np.argsort(dists, kind="stable")[:k]
-    if weighting is Weighting.UNIFORM:
-        return db.labels_mm[nearest].mean(axis=0)
     w = 1.0 / (dists[nearest] + 1e-12)
     return (db.labels_mm[nearest] * w[:, None]).sum(axis=0) / w.sum()
 
@@ -270,16 +285,15 @@ class TestNeighbourKernel:
                 err = knn_locate(reduced, samples[i], k=k).distance_mm(samples[i].label)
                 assert abs(err - report.errors_mm[i]) <= 1e-12
 
-    @pytest.mark.parametrize("weighting", list(Weighting))
-    def test_evaluate_equals_per_query_knn(self, radio, ura, weighting):
+    def test_evaluate_equals_per_query_knn(self, radio, ura):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=5)
         db = build_fingerprints(grid_samples(ura, radio, grid))
         queries = [add_noise(los_channel(ura, Position3(-18.0 + 4.1 * i, 1502.0 + 3.7 * i, 1000.0),
                                          radio, sample_id=f"{i:06d}"), NoiseSpec(15.0, seed=i))
                    for i in range(9)]
-        report = evaluate_localizer(db, queries, k=4, weighting=weighting)
-        expected = [knn_locate(db, q, k=4, weighting=weighting).distance_mm(q.label)
+        report = evaluate_localizer(db, queries, k=4)
+        expected = [knn_locate(db, q, k=4).distance_mm(q.label)
                     for q in queries]
         assert report.errors_mm.tolist() == expected
         assert report.sample_ids == tuple(q.sample_id for q in queries)
@@ -352,3 +366,30 @@ class TestPersistence:
         path.write_bytes(b"JUNK" + bytes(20))
         with pytest.raises(BadMagicError):
             load_fingerprints(path)
+
+    def test_bad_mode_truncation_and_trailing_bytes_name_the_path(self, tmp_path):
+        db = FingerprintDb(np.arange(6.0).reshape(2, 3), np.ones((2, 3)), FeatureConfig(), "ura")
+        path = tmp_path / "db.fpdb"
+        save_fingerprints(db, path)
+        good = path.read_bytes()
+        bad_mode = good[:5] + bytes([7]) + good[6:]  # byte 5 is the feature mode
+        for data, error in [(bad_mode, DatasetIOError), (good[:-1], TruncatedFileError),
+                            (good[:17], TruncatedFileError), (good + b"\0", TruncatedFileError)]:
+            path.write_bytes(data)
+            with pytest.raises(error, match="db.fpdb"):
+                load_fingerprints(path)
+
+    def test_load_peak_memory_is_about_two_feature_matrices(self, rng, tmp_path):
+        # the body read in place plus FingerprintDb's own copy; a bytes slice of
+        # the body beside them would make a third
+        path = tmp_path / "db.fpdb"
+        save_fingerprints(FingerprintDb(rng.standard_normal((441, 12_800)),
+                                        rng.standard_normal((441, 3)), FeatureConfig()), path)
+        tracemalloc.start()
+        try:
+            db = load_fingerprints(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert db.features.shape == (441, 12_800)
+        assert peak <= 2.2 * db.features.nbytes
