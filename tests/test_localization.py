@@ -285,7 +285,7 @@ class TestNeighbourKernel:
                 err = knn_locate(reduced, samples[i], k=k).distance_mm(samples[i].label)
                 assert abs(err - report.errors_mm[i]) <= 1e-12
 
-    def test_evaluate_equals_per_query_knn(self, radio, ura):
+    def test_batched_evaluation_equals_per_query_knn(self, radio, ura):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=5)
         db = build_fingerprints(grid_samples(ura, radio, grid))
