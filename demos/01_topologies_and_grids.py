@@ -9,9 +9,10 @@ geometry, and enumerates the positioner grids that tile the user area.
 import numpy as np
 
 from mamimo import TopologyKind, build_topology, default_positioner_grids, grid_positions
+from mamimo.geometry import roi_center
 
 # The rectangular panel: 8x8 elements, 70 mm pitch, centred 1 m above the
-# floor, facing the user area in +y.
+# floor in the plane y = 0, with the user area in +y.
 ura = build_topology(TopologyKind.URA)
 print(f"URA: {ura.n_elements} elements")
 print(f"  x span   : {ura.positions_mm[:, 0].min():7.1f} .. {ura.positions_mm[:, 0].max():7.1f} mm")
@@ -23,11 +24,14 @@ ula = build_topology(TopologyKind.ULA)
 span = ula.positions_mm[:, 0].max() - ula.positions_mm[:, 0].min()
 print(f"ULA: centre-to-centre span {span:.0f} mm")
 
-# Eight sub-arrays of eight elements on an octagon around the user area,
-# every element facing the centre.
+# Eight sub-arrays of eight elements on an octagon of radius 2500 mm around
+# the user area; each sub-array's centre sits on a vertex.
 da = build_topology(TopologyKind.DA)
-print(f"DA : {da.n_elements} elements, all facing vectors unit norm:",
-      bool(np.allclose(np.linalg.norm(da.facings, axis=1), 1.0)))
+centres = da.positions_mm.reshape(8, 8, 3).mean(axis=1)
+roi = roi_center()
+radii = np.hypot(centres[:, 0] - roi.x, centres[:, 1] - roi.y)
+print(f"DA : {da.n_elements} elements, sub-array centres {radii.min():.1f} .. "
+      f"{radii.max():.1f} mm from the user-area centre")
 
 # The user area is scanned by four positioner tables in a 2x2 arrangement.
 # At the default 5 mm resolution each 1250 mm x 1250 mm table gives a

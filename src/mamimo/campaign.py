@@ -43,6 +43,9 @@ NAK = b"\x15"
 #: Worst-case positioning error of the real tables, millimetres.
 ACCURACY_BOUND_MM = 0.1
 
+#: Live time per grid node of the real tables (move, settle, capture), seconds.
+STEP_S = 0.7
+
 _TRIGGER_ID_RE = re.compile(r"[0-9]{6}")
 
 _MOVE_RE = re.compile(r"^G0\s+X(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+Y(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
@@ -72,15 +75,12 @@ class TriggerMessage:
 
 @dataclass
 class CampaignPlan:
-    """Waypoint lists (one per positioner slot) plus the live time per node."""
+    """Waypoint lists, one per positioner slot, with the grids they lie on."""
 
     waypoints: list[list[Position3]]
     grids: list[SampleGrid]
-    step_s: float = 0.7
 
     def __post_init__(self):
-        if self.step_s < 0:
-            raise ValueError("step time must be nonnegative")
         if len(self.waypoints) != len(self.grids):
             raise ValueError("one waypoint list per grid required")
         if len(self.grids) > 4:
@@ -106,7 +106,7 @@ class CampaignPlan:
     def duration_estimate_s(self) -> float:
         # positioners run concurrently; the longest traversal sets the pace
         longest = max((len(w) for w in self.waypoints), default=0)
-        return longest * self.step_s
+        return longest * STEP_S
 
     def trigger_order(self) -> list[tuple[int, int]]:
         """(slot, step) of the n-th trigger, in round-robin order."""
@@ -117,23 +117,20 @@ class CampaignPlan:
                 if step < len(wps)]
 
 
-def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE,
-                   step_s: float = 0.7) -> CampaignPlan:
+def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
     """Plan a scan of one positioner grid, visiting every node exactly once."""
-    return CampaignPlan(waypoints=[grid_positions(grid, pattern)], grids=[grid], step_s=step_s)
+    return CampaignPlan(waypoints=[grid_positions(grid, pattern)], grids=[grid])
 
 
-def plan_full_campaign(grids, pattern: Traversal = Traversal.SERPENTINE,
-                       step_s: float = 0.7) -> CampaignPlan:
+def plan_full_campaign(grids, pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
     """Plan a scan of several positioner grids driven in the same run."""
     grids = list(grids)
-    return CampaignPlan(waypoints=[grid_positions(g, pattern) for g in grids],
-                        grids=grids, step_s=step_s)
+    return CampaignPlan(waypoints=[grid_positions(g, pattern) for g in grids], grids=grids)
 
 
-def default_campaign_plan(pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
-    """The full four-positioner dense scan at 5 mm resolution."""
-    return plan_full_campaign(default_positioner_grids(), pattern)
+def default_campaign_plan() -> CampaignPlan:
+    """The full four-positioner dense serpentine scan at 5 mm resolution."""
+    return plan_full_campaign(default_positioner_grids())
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +373,20 @@ class SyntheticChannelSource:
     The sample id is the trigger's number in the plan's round-robin order,
     as ``run_campaign`` assigns it, which names a positioner slot and
     waypoint; the channel comes from that table's physical (error-injected)
-    position. An id outside the plan, or one whose waypoint the table is not
-    commanded to, raises. Noise is keyed on the id, so a retried trigger or
-    a rerun reproduces the same bytes.
+    position, on the pilots of the user whose id is the slot. An id outside
+    the plan, or one whose waypoint the table is not commanded to, raises.
+    Noise is keyed on the id, so a retried trigger or a rerun reproduces the
+    same bytes.
     """
 
-    def __init__(self, geometry: ArrayGeometry, radio: RadioConfig,
-                 cfg: chan.ChannelConfig, positioners, plan: CampaignPlan,
-                 user_ids, scatterers=(), snr_db: float = float("inf"), seed: int = 0):
+    def __init__(self, geometry: ArrayGeometry, radio: RadioConfig, positioners,
+                 plan: CampaignPlan, scatterers=(), snr_db: float = float("inf"),
+                 seed: int = 0):
         self.geometry = geometry
         self.radio = radio
-        self.cfg = cfg
         self.positioners = list(positioners)
         self.plan = plan
         self.triggers = plan.trigger_order()
-        self.user_ids = list(user_ids)
         self.scatterers = list(scatterers)
         self.snr_db = snr_db
         self.seed = seed
@@ -406,29 +402,28 @@ class SyntheticChannelSource:
                              f"but the table is not there")
         lx, ly = positioner.actual_position_mm
         pos = Position3(grid.origin.x + lx, grid.origin.y + ly, grid.origin.z)
-        return chan.synthesize_sample(self.geometry, pos, self.radio, self.cfg, self.scatterers,
+        return chan.synthesize_sample(self.geometry, pos, self.radio, self.scatterers,
                                       snr_db=self.snr_db, seed=self.seed,
-                                      stream=chan.STREAM_CAPTURE,
-                                      user_id=self.user_ids[slot], sample_id=sample_id)
+                                      stream=chan.STREAM_CAPTURE, user_id=slot,
+                                      sample_id=sample_id)
 
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                  topology: str = "", radio: RadioConfig | None = None,
-                 user_ids=None, timeout: float = 5.0) -> DatasetIndex:
+                 timeout: float = 5.0) -> DatasetIndex:
     """Drive the positioners over the plan, triggering one capture per node.
 
     ``positioners`` are objects with the text-protocol ``execute`` surface
     (in-process tables or TCP drivers), one per plan slot; the capture
     service is reached only through its TCP address. Trigger n of the plan's
     ``trigger_order`` gets the zero-padded decimal sample id n. Index labels
-    are the commanded waypoint coordinates. Any positioner error or NAK
-    aborts with the failing waypoint identified.
+    are the commanded waypoint coordinates, and a sample's user id is its
+    slot. Any positioner error or NAK aborts with the failing waypoint
+    identified.
     """
     positioners = list(positioners)
     if len(positioners) != len(plan.waypoints):
         raise ValueError("one positioner per plan slot required")
-    if user_ids is None:
-        user_ids = list(range(len(positioners)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -462,7 +457,7 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                     f"returned {result}"
                 )
             records.append(SampleRecord(sample_id, out_dir / f"{sample_id}.bin",
-                                        plan.waypoints[slot][step], user_ids[slot]))
+                                        plan.waypoints[slot][step], slot))
 
     index = DatasetIndex(records=records, topology=topology, radio=radio)
     save_index(out_dir / "index.csv", index)
@@ -470,10 +465,9 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
 
 
 def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioConfig,
-                      out_dir, cfg: chan.ChannelConfig | None = None,
-                      topology: str = "", scatterers=(), snr_db: float = float("inf"),
-                      seed: int = 0, positioner_error_mm: float = 0.0,
-                      user_ids=None, capture_address=("127.0.0.1", 0),
+                      out_dir, topology: str = "", scatterers=(),
+                      snr_db: float = float("inf"), seed: int = 0,
+                      positioner_error_mm: float = 0.0, capture_address=("127.0.0.1", 0),
                       positioner_address=None) -> DatasetIndex:
     """End-to-end simulated campaign: positioners, capture service, runner.
 
@@ -484,17 +478,13 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
     exposed over TCP (one server per table on consecutive ports, port 0
     picks free ones) and the runner drives them through that protocol too.
     """
-    if cfg is None:
-        cfg = chan.ChannelConfig()
-    if user_ids is None:
-        user_ids = list(range(len(plan.grids)))
     positioners = [
         VirtualPositioner(g.x_extent_mm, g.y_extent_mm,
                           max_error_mm=positioner_error_mm,
                           seed=(seed, chan.STREAM_JITTER, i))
         for i, g in enumerate(plan.grids)
     ]
-    source = SyntheticChannelSource(geometry, radio, cfg, positioners, plan, user_ids,
+    source = SyntheticChannelSource(geometry, radio, positioners, plan,
                                     scatterers=scatterers, snr_db=snr_db, seed=seed)
     servers: list[PositionerServer] = []
     drivers = positioners
@@ -507,7 +497,7 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
             drivers = [TcpPositioner(s.address) for s in servers]
         with CaptureService(out_dir, source, address=capture_address) as service:
             return run_campaign(plan, drivers, service.address, out_dir,
-                                topology=topology, radio=radio, user_ids=user_ids)
+                                topology=topology, radio=radio)
     finally:
         for server in servers:
             server.stop()

@@ -4,13 +4,12 @@ scatterers and reproducible complex Gaussian noise.
 The channel convention is the narrowband free-space field factor per
 element and pilot subcarrier,
 
-    h[m, k] = g_m * (lambda_k / (4 pi d_m)) * exp(-j 2 pi f_k d_m / c)
+    h[m, k] = (lambda_k / (4 pi d_m)) * exp(-j 2 pi f_k d_m / c)
 
-with d_m the element-to-user distance in metres and g_m an optional
-cosine-power element pattern. Transmit power is *not* baked into h; it is
-applied by the link-budget stage, so |h| depends only on geometry and
-wavelength. Every function is pure; noise randomness is confined to the
-seed carried by NoiseSpec.
+with d_m the element-to-user distance in metres, for isotropic elements.
+Transmit power is *not* baked into h; it is applied by the link-budget
+stage, so |h| depends only on geometry and wavelength. Every function is
+pure; noise randomness is confined to the seed carried by NoiseSpec.
 
 Seed rule: every producer of samples makes them through
 :func:`synthesize_sample`, whose noise generator is
@@ -50,18 +49,11 @@ STREAM_GROUPING = 7
 class ChannelConfig:
     """Propagation knobs for the synthetic generator.
 
-    ``pattern_exponent`` q shapes the element directivity as max(0, cos
-    theta)^q relative to the facing vector; q = 0 is isotropic. When
-    ``include_los`` is False only scattered paths contribute, which gives an
-    nLoS-like channel from the same scatterer list.
+    When ``include_los`` is False only scattered paths contribute, which
+    gives an nLoS-like channel from the same scatterer list.
     """
 
-    pattern_exponent: float = 0.0
     include_los: bool = True
-
-    def __post_init__(self):
-        if self.pattern_exponent < 0:
-            raise ValueError("pattern_exponent must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,18 +107,14 @@ def _path_matrix(d_m: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return amp * np.exp(1j * phase)
 
 
-def _field(geom: ArrayGeometry, user: Position3, freqs: np.ndarray, q: float,
-           include_los: bool, scatterers) -> np.ndarray:
-    """LoS (optional, with pattern gain) plus one single-bounce path per scatterer."""
+def _field(geom: ArrayGeometry, user: Position3, freqs: np.ndarray, include_los: bool,
+           scatterers) -> np.ndarray:
+    """LoS (optional) plus one single-bounce path per scatterer."""
     if include_los:
-        delta_mm = user.as_array()[None, :] - geom.positions_mm  # (M, 3)
-        d_m = np.linalg.norm(delta_mm, axis=1) / MM_PER_M
+        d_m = np.linalg.norm(user.as_array()[None, :] - geom.positions_mm, axis=1) / MM_PER_M
         if np.any(d_m == 0.0):
             raise ValueError("user position coincides with an array element")
         h = _path_matrix(d_m, freqs)
-        if q != 0.0:
-            cos_theta = np.einsum("mi,mi->m", delta_mm, geom.facings) / (d_m * MM_PER_M)
-            h = (np.maximum(cos_theta, 0.0) ** q)[:, None] * h
     else:
         h = np.zeros((geom.n_elements, freqs.size), dtype=np.complex128)
     user_arr = user.as_array()
@@ -140,15 +128,14 @@ def _field(geom: ArrayGeometry, user: Position3, freqs: np.ndarray, q: float,
     return h
 
 
-def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
-                cfg: ChannelConfig = ChannelConfig(), user_id: int = 0,
+def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig, user_id: int = 0,
                 sample_id: str = "000000") -> CsiSample:
     """Line-of-sight channel from every element to one user position.
 
     The returned sample carries the user position as its label. Magnitude
     follows the 1/d law exactly, so doubling the distance halves |h|.
     """
-    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.pattern_exponent, True, ())
+    h = _field(geom, user, pilot_frequencies(radio, user_id), True, ())
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
 
 
@@ -161,18 +148,16 @@ def multipath_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
     (d1+d2) / c) over the element -> scatterer -> user detour. Contributions
     superpose linearly, so an empty list reproduces the LoS channel exactly.
     """
-    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.pattern_exponent,
-               cfg.include_los, scatterers)
+    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.include_los, scatterers)
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
 
 
 def synthesize_sample(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
-                      cfg: ChannelConfig = ChannelConfig(), scatterers=(), *,
-                      snr_db: float, seed: int, stream: int, user_id: int = 0,
-                      sample_id: str = "000000") -> CsiSample:
+                      scatterers=(), *, snr_db: float, seed: int, stream: int,
+                      user_id: int = 0, sample_id: str = "000000") -> CsiSample:
     """Sample ``sample_id`` of a producer's run: the multipath channel (an
     empty scatterer list is plain LoS), then noise seeded by the seed rule."""
-    sample = multipath_channel(geom, user, radio, cfg, scatterers,
+    sample = multipath_channel(geom, user, radio, ChannelConfig(), scatterers,
                                user_id=user_id, sample_id=sample_id)
     key = int.from_bytes(sample_id.encode("ascii"), "big")
     return add_noise(sample, NoiseSpec(snr_db, (seed, stream, key)))

@@ -47,6 +47,13 @@ def _parse_point(text: str) -> tuple[float, ...]:
     return tuple(parts)
 
 
+def _parse_db_range(text: str) -> tuple[float, float]:
+    parts = tuple(float(v) for v in text.split(","))
+    if len(parts) != 2 or not -math.inf < parts[0] < parts[1] < math.inf:
+        raise argparse.ArgumentTypeError(f"expected two increasing values lo,hi, got {text!r}")
+    return parts
+
+
 def _snr(text: str) -> float:
     return math.inf if text.lower() in ("inf", "none", "off") else float(text)
 
@@ -166,7 +173,7 @@ def _cmd_powermap(args) -> int:
                         scheme=dsp.PrecodingScheme(args.scheme))
     pmap = dsp.normalize_power_maps([raw])[0]
     out = Path(args.out)
-    dsp.power_map_to_pgm(pmap, out, db_range=tuple(args.db_range))
+    dsp.power_map_to_pgm(pmap, out, db_range=args.db_range)
     csv_path = out.with_suffix(".csv")
     dsp.power_map_to_csv(pmap, csv_path)
     iy, ix = pmap.argmax_node()
@@ -286,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="beamforming target x,y[,z] in mm")
     p.add_argument("--out", required=True, help="output PGM path (CSV written beside it)")
     p.add_argument("--scheme", choices=[s.value for s in dsp.PrecodingScheme], default="mrt")
-    p.add_argument("--db-range", type=_parse_point, default=(-40.0, 0.0),
-                   help="dB range mapped onto the 16-bit gray scale")
+    p.add_argument("--db-range", type=_parse_db_range, default=(-40.0, 0.0),
+                   help="dB range lo,hi (lo < hi) mapped onto the 16-bit gray scale")
     p.set_defaults(func=_cmd_powermap)
 
     p = sub.add_parser("schedule", help="compare user-grouping algorithms on a synthetic pool")

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import CsiSample, Position3, RadioConfig, SAMPLE_ID_PATTERN
+from .model import MAX_USERS, CsiSample, Position3, RadioConfig, SAMPLE_ID_PATTERN
 
 MAGIC = b"CSI1"
 VERSION = 1
@@ -135,6 +135,8 @@ class SampleRecord:
     def __post_init__(self):
         if not SAMPLE_ID_PATTERN.fullmatch(self.sample_id):
             raise ValueError(f"sample_id must be 6 chars of [0-9A-Za-z_-], got {self.sample_id!r}")
+        if not 0 <= self.user_id < MAX_USERS:
+            raise ValueError(f"user_id {self.user_id} not in [0, {MAX_USERS})")
 
 
 @dataclass
@@ -189,7 +191,8 @@ def save_index(path, index: DatasetIndex) -> None:
 def load_index(path) -> DatasetIndex:
     """Load an index CSV; sample files are resolved next to the index.
 
-    Fails on duplicate sample ids (naming the id), malformed rows or radio
+    Fails on duplicate sample ids (naming the id), malformed rows (a bad
+    sample id or a user id outside [0, MAX_USERS) among them) or radio
     comments, and referenced files that do not exist.
     """
     path = Path(path)
@@ -211,18 +214,18 @@ def load_index(path) -> DatasetIndex:
             if len(row) != 5:
                 raise IndexFormatError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
             sample_id = row[0]
+            try:  # validates the ids before the sample file is looked up
+                record = SampleRecord(sample_id, base / f"{sample_id}.bin",
+                                      Position3(float(row[2]), float(row[3]), float(row[4])),
+                                      int(row[1]))
+            except ValueError as exc:
+                raise IndexFormatError(f"{path}:{lineno}: {exc}") from exc
             if sample_id in seen:
                 raise IndexFormatError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
             seen.add(sample_id)
-            try:
-                user_id = int(row[1])
-                label = Position3(float(row[2]), float(row[3]), float(row[4]))
-            except ValueError as exc:
-                raise IndexFormatError(f"{path}:{lineno}: {exc}") from exc
-            sample_path = base / f"{sample_id}.bin"
-            if not sample_path.exists():
-                raise FileNotFoundError(f"{path}:{lineno}: missing sample file {sample_path}")
-            records.append(SampleRecord(sample_id, sample_path, label, user_id))
+            if not record.path.exists():
+                raise FileNotFoundError(f"{path}:{lineno}: missing sample file {record.path}")
+            records.append(record)
     try:
         config = parse_config_text("\n".join(comments))
         has_radio = any(f.name in config for f in fields(RadioConfig))

@@ -44,7 +44,7 @@ class PrecodingWeights:
     ``w`` has shape (K, M, F); each (M,) vector w[k, :, f] has unit norm.
     """
 
-    def __init__(self, w, scheme: PrecodingScheme):
+    def __init__(self, w):
         w = np.array(w, dtype=np.complex128, order="C")
         if w.ndim != 3:
             raise ValueError("weights must have shape (K, M, F)")
@@ -53,7 +53,6 @@ class PrecodingWeights:
             raise ValueError("each per-user, per-subcarrier vector must have unit norm")
         w.flags.writeable = False
         self.w = w
-        self.scheme = scheme
 
     @property
     def n_users(self) -> int:
@@ -73,7 +72,7 @@ def mrt_weights(h: np.ndarray) -> PrecodingWeights:
     if np.any(norms == 0.0):
         k = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"zero channel column at subcarrier {k}")
-    return PrecodingWeights((np.conj(h) / norms)[None, :, :], PrecodingScheme.MRT)
+    return PrecodingWeights((np.conj(h) / norms)[None, :, :])
 
 
 def zf_weights(H: np.ndarray) -> PrecodingWeights:
@@ -99,7 +98,7 @@ def zf_weights(H: np.ndarray) -> PrecodingWeights:
     # W = Q R^-H, solved as R W^H = Q^H (R is triangular, so no pivoting happens)
     Wh = np.linalg.solve(R, np.conj(np.transpose(Q, (0, 2, 1))))  # (F, K, M)
     W = np.conj(np.transpose(Wh, (1, 2, 0)))  # (K, M, F)
-    return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True), PrecodingScheme.ZF)
+    return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True))
 
 
 def received_power(h_eval: np.ndarray, weights: PrecodingWeights, budget: LinkBudget):

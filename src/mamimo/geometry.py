@@ -1,9 +1,9 @@
 """Array topology construction and positioner grids.
 
 Three 64-element deployments are supported: a rectangular 8x8 panel (URA),
-a 64-element line (ULA), both placed in the array plane y = 0 facing the
+a 64-element line (ULA), both placed in the array plane y = 0 with the
 user area in +y, and a distributed deployment (DA) of eight 8-element
-sub-arrays on an octagon around the user area, facing inward.
+sub-arrays on an octagon around the user area.
 
 Distances between element centres are 70 mm and the array height is 1000 mm
 above the floor. The user area ("ROI") is the square covered by the four
@@ -39,8 +39,8 @@ def build_topology(kind: TopologyKind | str,
     """Construct the element layout of one of the supported deployments.
 
     URA: ``ura_shape`` panel in the x/z plane, centred on x = 0 at the
-    array height, facing +y. Element order is row-major from the bottom
-    row, left to right.
+    array height. Element order is row-major from the bottom row, left
+    to right.
 
     ULA: 64 colinear elements along x, centred on x = 0; the span between
     first and last element centres is 63 * 70 mm = 4410 mm (adding one
@@ -48,7 +48,7 @@ def build_topology(kind: TopologyKind | str,
 
     DA: eight short lines of eight elements placed at the vertices of an
     octagon of radius 2500 mm around the user-area centre, each tangential
-    to the octagon and facing the centre.
+    to the octagon.
     """
     kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
 
@@ -58,34 +58,27 @@ def build_topology(kind: TopologyKind | str,
             raise ValueError("ura_shape must be at least 1x1")
         xs = (np.arange(cols) - (cols - 1) / 2.0) * SPACING_MM
         zs = DEFAULT_HEIGHT_MM + (np.arange(rows) - (rows - 1) / 2.0) * SPACING_MM
-        positions = np.array([[x, 0.0, z] for z in zs for x in xs])
-        facings = np.tile([0.0, 1.0, 0.0], (rows * cols, 1))
-        return ArrayGeometry(kind, positions, facings)
+        return ArrayGeometry(kind, [[x, 0.0, z] for z in zs for x in xs])
 
     if kind is TopologyKind.ULA:
         n = ULA_ELEMENTS
         xs = (np.arange(n) - (n - 1) / 2.0) * SPACING_MM
         positions = np.column_stack([xs, np.zeros(n), np.full(n, DEFAULT_HEIGHT_MM)])
-        facings = np.tile([0.0, 1.0, 0.0], (n, 1))
-        return ArrayGeometry(kind, positions, facings)
+        return ArrayGeometry(kind, positions)
 
     if kind is TopologyKind.DA:
         center = roi_center(standoff_mm=standoff_mm)
         positions = []
-        facings = []
         for vertex in range(DA_SUBARRAYS):
             theta = 2.0 * math.pi * vertex / DA_SUBARRAYS
             vx = center.x + OCTAGON_RADIUS_MM * math.cos(theta)
             vy = center.y + OCTAGON_RADIUS_MM * math.sin(theta)
             # tangential direction along which the sub-array line extends
             tx, ty = -math.sin(theta), math.cos(theta)
-            inward = np.array([center.x - vx, center.y - vy, 0.0])
-            inward /= np.linalg.norm(inward)
             offsets = (np.arange(DA_SUBARRAY_ELEMENTS) - (DA_SUBARRAY_ELEMENTS - 1) / 2.0) * SPACING_MM
             for off in offsets:
                 positions.append([vx + off * tx, vy + off * ty, DEFAULT_HEIGHT_MM])
-                facings.append(inward)
-        return ArrayGeometry(kind, np.array(positions), np.array(facings))
+        return ArrayGeometry(kind, positions)
 
     raise ValueError(f"unknown topology kind: {kind!r}")
 

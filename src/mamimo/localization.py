@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,9 +24,9 @@ from .model import CsiSample, Position3
 
 
 class FeatureMode(enum.Enum):
+    """The feature map; its index in this enum is the FPDB header's mode byte."""
+
     RAW_UNIT_NORM = "raw_unit_norm"
-    MAGNITUDE_ONLY = "magnitude_only"
-    PHASE_RELATIVE = "phase_relative_to_first_antenna"
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,39 +34,27 @@ class FeatureConfig:
     mode: FeatureMode = FeatureMode.RAW_UNIT_NORM
 
 
-def extract_features(csi: CsiSample, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Turn a CSI matrix into a real feature vector.
-
-    raw_unit_norm: real and imaginary parts of all entries stacked and
-    divided by the Frobenius norm (length 2*M*F, unit norm, invariant to
-    positive scaling). magnitude_only: entry magnitudes, unit-normalized.
-    phase_relative_to_first_antenna: per subcarrier, entry phases minus the
-    antenna-0 phase, wrapped to (-pi, pi]; invariant to a global phase
-    rotation.
-    """
+def extract_features(csi: CsiSample) -> np.ndarray:
+    """Turn a CSI matrix into a real feature vector: the real and imaginary
+    parts of all entries stacked and divided by the Frobenius norm (length
+    2*M*F, unit norm, invariant to positive scaling)."""
     h = csi.h
-    if cfg.mode is FeatureMode.PHASE_RELATIVE:
-        if np.any(np.abs(h) == 0.0):
-            raise ValueError("phase features need nonzero entries")
-        return np.angle(h * np.conj(h[0:1, :])).ravel()
-    if cfg.mode is FeatureMode.RAW_UNIT_NORM:
-        vec, norm = np.concatenate([h.real.ravel(), h.imag.ravel()]), np.linalg.norm(h)
-    elif cfg.mode is FeatureMode.MAGNITUDE_ONLY:
-        vec = np.abs(h).ravel()
-        norm = np.linalg.norm(vec)
-    else:
-        raise ValueError(f"unknown feature mode {cfg.mode!r}")
+    vec, norm = np.concatenate([h.real.ravel(), h.imag.ravel()]), np.linalg.norm(h)
     if norm == 0.0:
         raise ValueError("cannot extract features from an all-zero CSI matrix")
     return vec / norm
 
 
 class FingerprintDb:
-    """Feature vectors with their recording positions, in insertion order."""
+    """Feature vectors with their recording positions, in insertion order.
+
+    The database takes ownership of its arrays: C-contiguous float64 input
+    is kept as it is, not copied, and locked read-only.
+    """
 
     def __init__(self, features, labels_mm, config: FeatureConfig, topology: str = ""):
-        features = np.array(features, dtype=np.float64, order="C")
-        labels_mm = np.array(labels_mm, dtype=np.float64, order="C")
+        features = np.ascontiguousarray(features, dtype=np.float64)
+        labels_mm = np.ascontiguousarray(labels_mm, dtype=np.float64)
         if features.ndim != 2 or labels_mm.ndim != 2 or labels_mm.shape[1] != 3:
             raise ValueError("features must be (N, D) and labels (N, 3)")
         if features.shape[0] != labels_mm.shape[0]:
@@ -92,7 +81,7 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
             if sample.label is None:
                 raise ValueError(f"sample {sample.sample_id!r} has no position label")
             labels.append(sample.label.as_array())
-            yield extract_features(sample, cfg)
+            yield extract_features(sample)
 
     it = rows()
     first = next(it, None)
@@ -152,7 +141,7 @@ def _weighted_label_mean(db: FingerprintDb, idx, dists) -> np.ndarray:
 def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5) -> Position3:
     """Estimate the query position as the inverse-distance weighted mean of the
     positions of its k nearest fingerprints in feature space (ties by database order)."""
-    q = extract_features(query, db.config)[None, :]
+    q = extract_features(query)[None, :]
     return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, q, k))[0]))
 
 
@@ -252,14 +241,14 @@ def load_fingerprints(path) -> FingerprintDb:
         if version != FPDB_VERSION:
             raise VersionMismatchError(f"{path}: version {version}, expected {FPDB_VERSION}")
         if mode_index >= len(FeatureMode):
-            raise FeatureModeError(f"{path}: feature mode {mode_index}, expected 0 to "
-                                   f"{len(FeatureMode) - 1}")
+            raise FeatureModeError(f"{path}: unknown feature mode {mode_index}")
+        declared = _FPDB_HEADER.size + tag_len + 8 * (n * d + n * 3)
+        size = os.fstat(fh.fileno()).st_size
+        if size != declared:  # before the body is allocated: a bad header may declare GiBs
+            raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
         tag = fh.read(tag_len)
         body = np.empty(n * d + n * 3, dtype="<f8")  # features then labels, read in place
-        if len(tag) < tag_len or fh.readinto(body) < body.nbytes:
-            raise TruncatedFileError(f"{path}: body shorter than the header declares")
-        if fh.read(1):
-            raise TruncatedFileError(f"{path}: trailing bytes after declared body")
+        fh.readinto(body)
     mode = list(FeatureMode)[mode_index]
     return FingerprintDb(body[: n * d].reshape(n, d), body[n * d:].reshape(n, 3),
                          FeatureConfig(mode), tag.decode("utf-8"))

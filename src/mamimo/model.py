@@ -27,8 +27,8 @@ SAMPLE_ID_PATTERN = re.compile(r"[0-9A-Za-z_-]{6}")
 class TopologyKind(enum.Enum):
     """Base-station antenna deployment."""
 
-    URA = "ura"  # 8x8 rectangular panel facing the user area
-    ULA = "ula"  # 64 elements on a line facing the user area
+    URA = "ura"  # 8x8 rectangular panel in front of the user area
+    ULA = "ula"  # 64 elements on a line in front of the user area
     DA = "da"    # 8 sub-arrays of 8 on an octagon around the user area
 
 
@@ -97,31 +97,23 @@ class RadioConfig:
 
 
 class ArrayGeometry:
-    """Positions and facing directions of the base-station elements.
+    """Positions of the base-station elements, isotropic radiators.
 
-    ``positions_mm`` is (n, 3) and ``facings`` is (n, 3) with unit rows.
-    Element order is part of the contract: rebuilding the same topology
-    yields bit-identical coordinates in the same order.
+    ``positions_mm`` is (n, 3). Element order is part of the contract:
+    rebuilding the same topology yields bit-identical coordinates in the
+    same order.
     """
 
-    def __init__(self, kind: TopologyKind, positions_mm, facings):
-        # private copies: locking them must not freeze caller-owned arrays
+    def __init__(self, kind: TopologyKind, positions_mm):
+        # a private copy: locking it must not freeze a caller-owned array
         positions_mm = np.array(positions_mm, dtype=np.float64, order="C")
-        facings = np.array(facings, dtype=np.float64, order="C")
         if positions_mm.ndim != 2 or positions_mm.shape[1] != 3:
             raise ValueError("positions_mm must have shape (n, 3)")
-        if facings.shape != positions_mm.shape:
-            raise ValueError("facings must match positions_mm in shape")
-        if not np.all(np.isfinite(positions_mm)) or not np.all(np.isfinite(facings)):
+        if not np.all(np.isfinite(positions_mm)):
             raise ValueError("geometry must be finite")
-        norms = np.linalg.norm(facings, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("facing vectors must have unit norm")
         positions_mm.flags.writeable = False
-        facings.flags.writeable = False
         self.kind = kind
         self.positions_mm = positions_mm
-        self.facings = facings
 
     @property
     def n_elements(self) -> int:

@@ -181,15 +181,16 @@ def min_intra_group_distance(schedule: Schedule, pool: UserPool) -> float:
 
 
 def evaluate_schedule(schedule: Schedule, pool: UserPool,
-                      scheme: PrecodingScheme = PrecodingScheme.ZF,
                       budget: LinkBudget = LinkBudget()) -> ScheduleReport:
-    """Sum SE per group, its mean over groups, and the min intra-group distance."""
+    """Sum SE per group under zero-forcing, its mean over groups, and the min
+    intra-group distance."""
     n_antennas = pool[0].csi.n_antennas if len(pool) else 0
     sums = []
     for group in schedule.groups:
         if len(group) > n_antennas:
             raise ValueError(f"group of {len(group)} users exceeds {n_antennas} antennas")
-        _, sum_se = group_spectral_efficiency(pool.stacked_channels(group), scheme, budget)
+        _, sum_se = group_spectral_efficiency(pool.stacked_channels(group), PrecodingScheme.ZF,
+                                              budget)
         sums.append(sum_se)
     return ScheduleReport(
         per_group_sum_se=tuple(sums),

@@ -1,8 +1,9 @@
 """The names the benchmark reads from mamimo still exist.
 
 ``bench/`` calls the program through its public names (and a few internal
-ones the tracer wraps). Deleting or renaming one breaks ``bench/run.py``
-without failing any other test, so these checks resolve every such name.
+ones the tracer wraps), and reads attributes of the objects they return.
+Deleting or renaming one breaks ``bench/run.py`` without failing any other
+test, so these checks resolve every such name.
 """
 
 import ast
@@ -10,6 +11,9 @@ import functools
 import importlib
 import importlib.util
 from pathlib import Path
+
+from mamimo import campaign, channel, dsp, geometry, localization, scheduling
+from mamimo.model import Position3, RadioConfig, SampleGrid
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -62,3 +66,35 @@ def test_names_read_by_workloads_exist():
     reads = _mamimo_reads(BENCH / "workloads.py")
     assert reads
     assert not _missing(reads), "bench/workloads.py reads names mamimo no longer has"
+
+
+def test_instance_attributes_read_by_bench_exist():
+    # the AST guard above cannot see attributes of returned objects; these are
+    # the ones bench/workloads.py and bench/tracing.py read, on tiny objects
+    ura, radio = geometry.build_topology("ura", ura_shape=(2, 2)), RadioConfig()
+    grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0), x_extent_mm=5.0,
+                      y_extent_mm=0.0, resolution_mm=5.0)
+    plan = campaign.plan_traversal(grid)
+    samples = [channel.los_channel(ura, p, radio) for p in plan.waypoints[0]]
+    db = localization.build_fingerprints(samples)
+    pool = scheduling.UserPool([scheduling.PoolUser(i, s, s.label) for i, s in enumerate(samples)])
+    schedule = scheduling.def_schedule(pool, 2)
+    objects = {
+        "ChannelConfig": (channel.ChannelConfig(), ["include_los"]),
+        "CampaignPlan": (plan, ["waypoints", "grids"]),
+        "waypoint": (plan.waypoints[0][0], ["x", "y", "z"]),
+        "SampleGrid": (grid, ["origin", "resolution_mm", "nx", "ny"]),
+        "CsiSample": (samples[0], ["h", "sample_id"]),
+        "PowerMap": (dsp.power_map(grid, samples, samples[0]), ["values"]),
+        "PrecodingWeights": (dsp.zf_weights(samples[0].h[None]), ["w"]),
+        "LinkBudget": (dsp.LinkBudget(), ["total_tx_power", "noise_power"]),
+        "FingerprintDb": (db, ["features"]),
+        "LocalizationReport": (localization.leave_one_out_report(db, k=1), ["errors_mm"]),
+        "UserPool": (pool, ["users", "stacked_channels"]),
+        "PoolUser": (pool.users[0], ["csi"]),
+        "Schedule": (schedule, ["groups"]),
+        "ScheduleReport": (scheduling.evaluate_schedule(schedule, pool), ["per_group_sum_se"]),
+    }
+    missing = [f"{kind}.{attr}" for kind, (obj, attrs) in objects.items()
+               for attr in attrs if not hasattr(obj, attr)]
+    assert not missing, f"bench/ reads attributes mamimo no longer has: {missing}"

@@ -66,11 +66,6 @@ class TestPlanning:
         with pytest.raises(ValueError):
             CampaignPlan(waypoints=[[Position3(50.0, 0.0, 0.0)]], grids=[grid])
 
-    def test_negative_timing_rejected(self):
-        grid = SampleGrid(x_extent_mm=0, y_extent_mm=0)
-        with pytest.raises(ValueError):
-            plan_traversal(grid, step_s=-0.1)
-
     def test_at_most_four_positioners(self):
         grids = default_positioner_grids(extent_mm=10.0)
         with pytest.raises(ValueError):

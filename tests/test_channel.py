@@ -22,8 +22,8 @@ from mamimo.geometry import build_topology
 from mamimo.model import ArrayGeometry, Position3, RadioConfig, TopologyKind
 
 
-def single_element(x=0.0, y=0.0, z=0.0, facing=(0.0, 1.0, 0.0)):
-    return ArrayGeometry(TopologyKind.URA, np.array([[x, y, z]]), np.array([facing]))
+def single_element(x=0.0, y=0.0, z=0.0):
+    return ArrayGeometry(TopologyKind.URA, np.array([[x, y, z]]))
 
 
 class TestPilotFrequencies:
@@ -94,24 +94,6 @@ class TestLosChannel:
         pos = Position3(10.0, 1500.0, 1000.0)
         assert los_channel(ura_small, pos, radio).label == pos
 
-    def test_pattern_exponent(self, radio):
-        geom = single_element()
-        boresight = Position3(0.0, 1000.0, 0.0)
-        oblique = Position3(1000.0, 1000.0, 0.0)  # 45 degrees off facing
-        iso = ChannelConfig(pattern_exponent=0.0)
-        patt = ChannelConfig(pattern_exponent=2.0)
-        assert np.allclose(np.abs(los_channel(geom, boresight, radio, patt).h),
-                           np.abs(los_channel(geom, boresight, radio, iso).h), rtol=1e-12)
-        ratio = (np.abs(los_channel(geom, oblique, radio, patt).h[0, 0])
-                 / np.abs(los_channel(geom, oblique, radio, iso).h[0, 0]))
-        assert ratio == pytest.approx(0.5, rel=1e-12)  # cos(45deg)^2
-
-    def test_behind_element_is_nulled(self, radio):
-        geom = single_element()
-        behind = Position3(0.0, -1000.0, 0.0)
-        patt = ChannelConfig(pattern_exponent=2.0)
-        assert np.all(los_channel(geom, behind, radio, patt).h == 0.0)
-
     @given(d_mm=st.floats(100.0, 50_000.0), pilot=st.integers(0, 99))
     @settings(max_examples=40, deadline=None)
     def test_magnitude_identity(self, d_mm, pilot):
@@ -128,10 +110,9 @@ class TestMultipathChannel:
     def test_no_scatterers_equals_los(self, fast_radio, ura_small):
         user = Position3(0.0, 2000.0, 1000.0)
         for geom in (ura_small, build_topology("da")):
-            for cfg in (ChannelConfig(), ChannelConfig(pattern_exponent=2.0)):
-                los = los_channel(geom, user, fast_radio, cfg, user_id=5)
-                multi = multipath_channel(geom, user, fast_radio, cfg, [], user_id=5)
-                assert np.array_equal(los.h, multi.h)
+            los = los_channel(geom, user, fast_radio, user_id=5)
+            multi = multipath_channel(geom, user, fast_radio, ChannelConfig(), [], user_id=5)
+            assert np.array_equal(los.h, multi.h)
 
     def test_zero_reflection_equals_los(self, fast_radio, ura_small):
         user = Position3(0.0, 2000.0, 1000.0)
@@ -163,7 +144,7 @@ class TestMultipathChannel:
         a = Scatterer(Position3(900.0, 1300.0, 1000.0), 0.5 + 0.1j)
         b = Scatterer(Position3(-700.0, 1800.0, 500.0), -0.2 + 0.6j)
         cfg = ChannelConfig()
-        los = los_channel(ura_small, user, fast_radio, cfg)
+        los = los_channel(ura_small, user, fast_radio)
         both = multipath_channel(ura_small, user, fast_radio, cfg, [a, b])
         only_a = multipath_channel(ura_small, user, fast_radio, cfg, [a])
         only_b = multipath_channel(ura_small, user, fast_radio, cfg, [b])
@@ -188,8 +169,8 @@ SCATTERERS = [Scatterer(Position3(-1800.0, 2600.0, 1400.0), 0.6 - 0.2j),
               Scatterer(Position3(1500.0, 3900.0, 600.0), -0.3 + 0.45j)]
 
 
-def closed_form_channel(geom, user, radio, user_id, q, include_los, scatterers):
-    """h[m, k] = sum over paths of Gamma g lambda_k / (4 pi d) exp(-j 2 pi f_k d / c),
+def closed_form_channel(geom, user, radio, user_id, include_los, scatterers):
+    """h[m, k] = sum over paths of Gamma lambda_k / (4 pi d) exp(-j 2 pi f_k d / c),
     written out here independently of mamimo.channel."""
     c = 299_792_458.0
     k = np.arange(radio.pilot_count)
@@ -203,9 +184,7 @@ def closed_form_channel(geom, user, radio, user_id, q, include_los, scatterers):
 
     h = np.zeros((len(elems), len(f)), dtype=complex)
     if include_los:
-        d = np.sqrt(((u - elems) ** 2).sum(axis=1))
-        cos_theta = ((u - elems) * geom.facings).sum(axis=1) / d
-        h += (np.clip(cos_theta, 0.0, None) ** q)[:, None] * path(d)
+        h += path(np.sqrt(((u - elems) ** 2).sum(axis=1)))
     for sc in scatterers:
         s = np.array([sc.position.x, sc.position.y, sc.position.z]) / 1000.0
         d1 = np.sqrt(((s - elems) ** 2).sum(axis=1))
@@ -215,21 +194,19 @@ def closed_form_channel(geom, user, radio, user_id, q, include_los, scatterers):
 
 class TestSynthesizeSample:
     @pytest.mark.parametrize("kind", ["ura", "da"])
-    @pytest.mark.parametrize("cfg, n_scatterers", [
-        (ChannelConfig(), 0),
-        (ChannelConfig(), 2),
-        (ChannelConfig(pattern_exponent=1.5), 0),
-        (ChannelConfig(pattern_exponent=1.5), 2),
-        (ChannelConfig(include_los=False), 2),
-    ], ids=["los", "los+2", "pattern", "pattern+2", "nlos+2"])
-    def test_matches_closed_form(self, radio, kind, cfg, n_scatterers):
+    @pytest.mark.parametrize("include_los, n_scatterers", [(True, 0), (True, 2), (False, 2)],
+                             ids=["los", "los+2", "nlos+2"])
+    def test_matches_closed_form(self, radio, kind, include_los, n_scatterers):
         geom = build_topology(kind)
         user = Position3(240.0, 2870.0, 1130.0)
         scatterers = SCATTERERS[:n_scatterers]
-        sample = synthesize_sample(geom, user, radio, cfg, scatterers, snr_db=math.inf,
-                                   seed=3, stream=1, user_id=7, sample_id="000042")
-        ref = closed_form_channel(geom, user, radio, 7, cfg.pattern_exponent,
-                                  cfg.include_los, scatterers)
+        if include_los:
+            sample = synthesize_sample(geom, user, radio, scatterers, snr_db=math.inf,
+                                       seed=3, stream=1, user_id=7, sample_id="000042")
+        else:  # only multipath_channel can drop the LoS path
+            sample = multipath_channel(geom, user, radio, ChannelConfig(include_los=False),
+                                       scatterers, user_id=7, sample_id="000042")
+        ref = closed_form_channel(geom, user, radio, 7, include_los, scatterers)
         assert np.max(np.abs(sample.h - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert (sample.label, sample.user_id, sample.sample_id) == (user, 7, "000042")
 

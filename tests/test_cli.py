@@ -81,6 +81,19 @@ class TestPowermap:
         assert (tmp_path / "map.csv").exists()
 
 
+    @pytest.mark.parametrize("db_range", ["-40,0,5", "0,-40", "-20,-20", "nan,0", "-40"])
+    def test_bad_db_range_is_a_usage_error_before_any_channel(self, tmp_path, monkeypatch,
+                                                              capsys, db_range):
+        made = []
+        monkeypatch.setattr(chan, "synthesize_sample", lambda *a, **k: made.append(a))
+        out = tmp_path / "map.pgm"
+        with pytest.raises(SystemExit) as exc:
+            main(["powermap", "--target", "0,1500", f"--db-range={db_range}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--db-range" in capsys.readouterr().err
+        assert not made and not out.exists()
+
+
 class TestCampaignCli:
     def test_small_campaign(self, tmp_path, capsys):
         out = tmp_path / "campaign"

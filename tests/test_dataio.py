@@ -189,6 +189,23 @@ class TestIndex:
         with pytest.raises(FileNotFoundError):
             load_index(tmp_path / "index.csv")
 
+    @pytest.mark.parametrize("sample_id", ["abc", "ab.def", "../abc"])
+    def test_bad_sample_id_names_the_line_before_any_file_lookup(self, tmp_path, sample_id):
+        (tmp_path / "index.csv").write_text("sample_id,user_id,x_mm,y_mm,z_mm\n"
+                                            f"{sample_id},0,1.0,2.0,3.0\n")
+        with pytest.raises(IndexFormatError, match="index.csv:2: sample_id must be"):
+            load_index(tmp_path / "index.csv")
+
+    @pytest.mark.parametrize("user_id", [-1, 12, 99])
+    def test_user_id_outside_the_pilots_names_the_line(self, tmp_path, rng, user_id):
+        write_sample(tmp_path / "000000.bin", CsiSample(random_csi_matrix(rng, 2, 3)))
+        with pytest.raises(ValueError):  # nor can save_index write such a row
+            SampleRecord("000000", tmp_path / "000000.bin", Position3(0.0, 0.0, 0.0), user_id)
+        (tmp_path / "index.csv").write_text("sample_id,user_id,x_mm,y_mm,z_mm\n"
+                                            f"000000,{user_id},1.0,2.0,3.0\n")
+        with pytest.raises(IndexFormatError, match=f"index.csv:2: user_id {user_id} "):
+            load_index(tmp_path / "index.csv")
+
     def test_labels_roundtrip_exact(self, tmp_path, rng):
         # float labels survive the CSV exactly via repr
         path = tmp_path / "000000.bin"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamimo.geometry import build_topology, default_positioner_grids, grid_positions
+from mamimo.geometry import build_topology, default_positioner_grids, grid_positions, roi_center
 from mamimo.model import Position3, SampleGrid, Traversal
 
 
@@ -30,8 +30,10 @@ class TestBuildTopology:
         g = build_topology("da")
         assert g.n_elements == 64
         assert np.all(g.positions_mm[:, 2] == 1000.0)
-        # all sub-arrays face the user-area centre (horizontal components)
-        assert np.allclose(np.linalg.norm(g.facings, axis=1), 1.0, atol=1e-12)
+        # eight sub-array centres on the 2500 mm octagon around the user-area centre
+        centres = g.positions_mm.reshape(8, 8, 3).mean(axis=1)
+        c = roi_center()
+        assert np.allclose(np.hypot(centres[:, 0] - c.x, centres[:, 1] - c.y), 2500.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -42,12 +44,6 @@ class TestBuildTopology:
         a = build_topology(kind)
         b = build_topology(kind)
         assert np.array_equal(a.positions_mm, b.positions_mm)
-        assert np.array_equal(a.facings, b.facings)
-
-    @pytest.mark.parametrize("kind", ["ura", "ula", "da"])
-    def test_unit_facings(self, kind):
-        g = build_topology(kind)
-        assert np.all(np.abs(np.linalg.norm(g.facings, axis=1) - 1.0) <= 1e-12)
 
 
 class TestGridPositions:

@@ -13,7 +13,6 @@ from mamimo.dataio import BadMagicError, DatasetIOError, TruncatedFileError
 from mamimo.geometry import build_topology, grid_positions
 from mamimo.localization import (
     FeatureConfig,
-    FeatureMode,
     FingerprintDb,
     LocalizationReport,
     build_fingerprints,
@@ -43,24 +42,6 @@ class TestExtractFeatures:
         a = extract_features(CsiSample(h))
         b = extract_features(CsiSample(5.0 * h))
         assert np.allclose(a, b, atol=1e-15)
-
-    def test_magnitude_mode(self, rng):
-        h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        f = extract_features(CsiSample(h), FeatureConfig(FeatureMode.MAGNITUDE_ONLY))
-        assert f.shape == (6,)
-        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(f >= 0)
-
-    def test_phase_mode_rotation_invariant(self, rng):
-        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        cfg = FeatureConfig(FeatureMode.PHASE_RELATIVE)
-        a = extract_features(CsiSample(h), cfg)
-        b = extract_features(CsiSample(h * np.exp(1j * 2.1)), cfg)
-        assert np.allclose(a, b, atol=1e-12)
-        # cross-check one entry against direct angle arithmetic
-        expected = np.angle(h[2, 1]) - np.angle(h[0, 1])
-        expected = math.remainder(expected, 2 * math.pi)
-        assert a.reshape(4, 3)[2, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_csi_rejected(self):
         with pytest.raises(ValueError):
@@ -104,9 +85,15 @@ class TestBuildFingerprints:
         db = build_fingerprints([s, s])
         assert len(db) == 2
 
+    def test_db_adopts_and_locks_float64_arrays(self):
+        features, labels = np.zeros((2, 3)), np.zeros((2, 3))
+        db = FingerprintDb(features, labels, FeatureConfig())
+        assert db.features is features and db.labels_mm is labels
+        assert not features.flags.writeable and not labels.flags.writeable
+
     def test_build_peak_memory_is_about_two_feature_matrices(self, rng):
-        # the streamed matrix plus FingerprintDb's own copy; a list of rows beside
-        # them would make a third
+        # the streamed matrix alone, which FingerprintDb adopts; a copy of it or a
+        # list of rows beside it would double the peak
         h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
         samples = (CsiSample(h, label=Position3(float(i), 0.0, 0.0)) for i in range(441))
         tracemalloc.start()
@@ -116,7 +103,7 @@ class TestBuildFingerprints:
         finally:
             tracemalloc.stop()
         assert db.features.shape == (441, 12_800)
-        assert peak <= 2.2 * db.features.nbytes
+        assert peak <= 1.2 * db.features.nbytes
 
 
 class TestKnnLocate:
@@ -207,7 +194,7 @@ class TestEvaluateAndLeaveOneOut:
         assert report.mean_mm == pytest.approx(DA_20DB_MEAN_BASELINE_MM, rel=0.10)
 
     def test_streamed_queries_peak_memory_is_about_two_feature_matrices(self, rng):
-        # the streamed test features plus their FingerprintDb copy; the samples
+        # the streamed test features alone, which FingerprintDb adopts; the samples
         # themselves are as large again and must not stay alive
         def sample(i):
             h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
@@ -222,7 +209,7 @@ class TestEvaluateAndLeaveOneOut:
         finally:
             tracemalloc.stop()
         assert report.sample_ids == tuple(f"{i:06d}" for i in range(441))
-        assert peak <= 2.2 * 441 * 12_800 * 8
+        assert peak <= 1.2 * 441 * 12_800 * 8
 
     def test_empty_test_set_rejected(self, fast_radio, ura_small):
         s = los_channel(ura_small, Position3(0, 1500, 1000), fast_radio)
@@ -253,7 +240,7 @@ def near_duplicate_samples(rng, n_far=5):
 
 
 def direct_estimate(db, query, k):
-    dists = np.linalg.norm(db.features - extract_features(query, db.config), axis=1)
+    dists = np.linalg.norm(db.features - extract_features(query), axis=1)
     nearest = np.argsort(dists, kind="stable")[:k]
     w = 1.0 / (dists[nearest] + 1e-12)
     return (db.labels_mm[nearest] * w[:, None]).sum(axis=0) / w.sum()
@@ -361,6 +348,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_fingerprints(path)
 
+    @pytest.mark.parametrize("n, d", [(200_000, 12_800), (2**32 - 1, 2**32 - 1)],
+                             ids=["19GiB", "max-counts"])
+    def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path, n, d):
+        path = tmp_path / "db.fpdb"
+        path.write_bytes(struct.pack("<4sBBHII", b"FPDB", 1, 0, 0, n, d).ljust(73, b"\0"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="db.fpdb"):
+                load_fingerprints(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "db.fpdb"
         path.write_bytes(b"JUNK" + bytes(20))
@@ -380,8 +381,8 @@ class TestPersistence:
                 load_fingerprints(path)
 
     def test_load_peak_memory_is_about_two_feature_matrices(self, rng, tmp_path):
-        # the body read in place plus FingerprintDb's own copy; a bytes slice of
-        # the body beside them would make a third
+        # the body read in place, which FingerprintDb adopts; a copy or a bytes
+        # slice of it beside the body would double the peak
         path = tmp_path / "db.fpdb"
         save_fingerprints(FingerprintDb(rng.standard_normal((441, 12_800)),
                                         rng.standard_normal((441, 3)), FeatureConfig()), path)
@@ -392,4 +393,4 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert db.features.shape == (441, 12_800)
-        assert peak <= 2.2 * db.features.nbytes
+        assert peak <= 1.2 * db.features.nbytes

@@ -108,11 +108,7 @@ class TestSampleGrid:
 
 
 class TestArrayGeometry:
-    def test_unit_facing_required(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(TopologyKind.URA, np.zeros((1, 3)), np.array([[0.0, 2.0, 0.0]]))
-
     def test_arrays_locked(self):
-        g = ArrayGeometry(TopologyKind.URA, np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]))
+        g = ArrayGeometry(TopologyKind.URA, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             g.positions_mm[0, 0] = 5.0
