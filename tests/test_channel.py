@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,12 @@ class TestMultipathChannel:
         with pytest.raises(ValueError):
             Scatterer(Position3(0, 0, 0), 1.5 + 0j)
 
+    @pytest.mark.parametrize("gamma", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                       complex(math.inf, 0.0)], ids=["nan", "nan-imag", "inf"])
+    def test_non_finite_reflection_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            Scatterer(Position3(0, 0, 0), gamma)
+
 
 SCATTERERS = [Scatterer(Position3(-1800.0, 2600.0, 1400.0), 0.6 - 0.2j),
               Scatterer(Position3(1500.0, 3900.0, 600.0), -0.3 + 0.45j)]
@@ -190,6 +197,54 @@ def closed_form_channel(geom, user, radio, user_id, include_los, scatterers):
         d1 = np.sqrt(((s - elems) ** 2).sum(axis=1))
         h += sc.reflection * path(d1 + np.sqrt(((u - s) ** 2).sum()))
     return h
+
+
+class TestFieldKernel:
+    """The factored-phase kernel against the closed form, on the cases where a
+    coarse x fine split of the pilots could go wrong."""
+
+    @pytest.mark.parametrize("radio_kw, kind, user, user_id, include_los, n_scatterers", [
+        (dict(total_subcarriers=84, pilot_count=7, interleave_factor=12), "ura",
+         Position3(240.0, 2870.0, 1130.0), 3, True, 2),
+        (dict(total_subcarriers=12, pilot_count=1, interleave_factor=12), "ura",
+         Position3(240.0, 2870.0, 1130.0), 0, True, 2),
+        ({}, "ura", Position3(-610.0, 1940.0, 420.0), 11, True, 2),
+        ({}, "ura", Position3(300.0, 50_000.0, 1000.0), 5, True, 2),
+        ({}, "ula", Position3(240.0, 2870.0, 1130.0), 7, True, 2),
+        ({}, "ura", Position3(240.0, 2870.0, 1130.0), 7, False, 1),
+    ], ids=["7-pilots", "1-pilot", "user-11", "50m", "ula", "nlos+1"])
+    def test_matches_closed_form(self, radio_kw, kind, user, user_id, include_los, n_scatterers):
+        radio = RadioConfig(**radio_kw)
+        geom = build_topology(kind)
+        scatterers = SCATTERERS[:n_scatterers]
+        sample = multipath_channel(geom, user, radio, ChannelConfig(include_los=include_los),
+                                   scatterers, user_id=user_id)
+        ref = closed_form_channel(geom, user, radio, user_id, include_los, scatterers)
+        assert sample.h.shape == (geom.n_elements, radio.pilot_count)
+        assert np.max(np.abs(sample.h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_multipath_call_per_sample(self, monkeypatch, fast_radio, ura_small):
+        # bench --trace 1 counts channel.synth_ms and channel.paths per call of
+        # these two functions, so a sample must pass through exactly one of them
+        from mamimo import channel
+
+        calls = {"los_channel": 0, "multipath_channel": 0}
+
+        def counted(name):
+            inner = getattr(channel, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(channel, name, counted(name))
+        for scatterers in ((), SCATTERERS):
+            calls.update(dict.fromkeys(calls, 0))
+            synthesize_sample(ura_small, Position3(0.0, 2000.0, 1000.0), fast_radio, scatterers,
+                              snr_db=20.0, seed=1, stream=1)
+            assert calls == {"los_channel": 0, "multipath_channel": 1}
 
 
 class TestSynthesizeSample:
@@ -262,5 +317,13 @@ class TestScattererCsv:
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected 5 columns"):
+            load_scatterers(path)
+
+    @pytest.mark.parametrize("row", ["abc", "abc,2,3,0.5,0", "1,2,3,nan,0", "1,2,inf,0.5,0",
+                                     "1,nan,3,0.5,0", "1,2,3,0.9,0.9", "1,2,3,,0"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x_mm,y_mm,z_mm,gamma_re,gamma_im\n0,0,10,0,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             load_scatterers(path)

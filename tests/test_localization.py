@@ -91,7 +91,7 @@ class TestBuildFingerprints:
         assert db.features is features and db.labels_mm is labels
         assert not features.flags.writeable and not labels.flags.writeable
 
-    def test_build_peak_memory_is_about_two_feature_matrices(self, rng):
+    def test_build_peak_memory_is_about_one_feature_matrix(self, rng):
         # the streamed matrix alone, which FingerprintDb adopts; a copy of it or a
         # list of rows beside it would double the peak
         h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
@@ -193,7 +193,7 @@ class TestEvaluateAndLeaveOneOut:
         report = evaluate_localizer(db, queries, k=5)
         assert report.mean_mm == pytest.approx(DA_20DB_MEAN_BASELINE_MM, rel=0.10)
 
-    def test_streamed_queries_peak_memory_is_about_two_feature_matrices(self, rng):
+    def test_streamed_queries_peak_memory_is_about_one_feature_matrix(self, rng):
         # the streamed test features alone, which FingerprintDb adopts; the samples
         # themselves are as large again and must not stay alive
         def sample(i):
@@ -380,7 +380,7 @@ class TestPersistence:
             with pytest.raises(error, match="db.fpdb"):
                 load_fingerprints(path)
 
-    def test_load_peak_memory_is_about_two_feature_matrices(self, rng, tmp_path):
+    def test_load_peak_memory_is_about_one_feature_matrix(self, rng, tmp_path):
         # the body read in place, which FingerprintDb adopts; a copy or a bytes
         # slice of it beside the body would double the peak
         path = tmp_path / "db.fpdb"
