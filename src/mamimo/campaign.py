@@ -10,7 +10,7 @@ service can live in another thread or another process.
 
 The simulation runs as fast as the TCP round trips allow and never sleeps;
 a plan's ``duration_estimate_s`` gives the live duration from the per-node
-step time of the real tables.
+step time of the real tables. A table's waypoints are one array, ``Positions``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .model import (
     ArrayGeometry,
     CsiSample,
     Position3,
+    Positions,
     RadioConfig,
     SAMPLE_ID_PATTERN,
     SampleGrid,
@@ -75,9 +76,9 @@ class TriggerMessage:
 
 @dataclass
 class CampaignPlan:
-    """Waypoint lists, one per positioner slot, with the grids they lie on."""
+    """One read-only ``Positions`` of waypoints per slot (a list is wrapped), with the grids."""
 
-    waypoints: list[list[Position3]]
+    waypoints: list[Positions]
     grids: list[SampleGrid]
 
     def __post_init__(self):
@@ -85,14 +86,15 @@ class CampaignPlan:
             raise ValueError("one waypoint list per grid required")
         if len(self.grids) > 4:
             raise ValueError("at most 4 positioners are supported")
+        self.waypoints = [w if isinstance(w, Positions) else Positions(w) for w in self.waypoints]
         for wps, grid in zip(self.waypoints, self.grids):
-            ox, oy = grid.origin.x, grid.origin.y
-            x_hi, y_hi = ox + grid.x_extent_mm, oy + grid.y_extent_mm
-            for p in wps:
-                if not (ox <= p.x <= x_hi and oy <= p.y <= y_hi):
-                    raise ValueError(
-                        f"waypoint ({p.x}, {p.y}) outside positioner {grid.positioner_id} work area"
-                    )
+            o, x, y = grid.origin, wps.xyz[:, 0], wps.xyz[:, 1]
+            outside = ~((o.x <= x) & (x <= o.x + grid.x_extent_mm)
+                        & (o.y <= y) & (y <= o.y + grid.y_extent_mm))
+            if outside.any():
+                p = wps[int(outside.argmax())]
+                raise ValueError(f"waypoint ({p.x}, {p.y}) outside positioner "
+                                 f"{grid.positioner_id} work area")
 
     @property
     def total_waypoints(self) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import grid_positions
 from .model import CsiSample, Position3, SampleGrid
 
 
@@ -147,9 +148,7 @@ class PowerMap:
         return int(iy), int(ix)
 
     def node_position(self, iy: int, ix: int) -> Position3:
-        g = self.grid
-        return Position3(g.origin.x + ix * g.resolution_mm,
-                         g.origin.y + iy * g.resolution_mm, g.origin.z)
+        return grid_positions(self.grid)[iy * self.grid.nx + ix]
 
 
 def power_map(grid: SampleGrid, samples, target: CsiSample,
@@ -197,15 +196,12 @@ def normalize_power_maps(maps) -> list[PowerMap]:
 
 def power_map_to_csv(pmap: PowerMap, path) -> None:
     """Write ``x_mm,y_mm,power_db`` rows in raster order."""
-    g = pmap.grid
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(pmap.values)
     lines = ["x_mm,y_mm,power_db"]
-    for iy in range(g.ny):
-        y = g.origin.y + iy * g.resolution_mm
-        for ix in range(g.nx):
-            x = g.origin.x + ix * g.resolution_mm
-            lines.append(f"{x!r},{y!r},{float(db[iy, ix])!r}")
+    for node, v in zip(grid_positions(pmap.grid).xyz, db.flat):
+        x, y, _ = node.tolist()
+        lines.append(f"{x!r},{y!r},{float(v)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

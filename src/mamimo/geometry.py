@@ -8,7 +8,7 @@ sub-arrays on an octagon around the user area.
 Distances between element centres are 70 mm and the array height is 1000 mm
 above the floor. The user area ("ROI") is the square covered by the four
 positioner tables; it starts at a configurable standoff from the array
-plane, the one offset every command can set.
+plane, the one offset every command can set. A grid's nodes are one array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .model import ArrayGeometry, Position3, SampleGrid, TopologyKind, Traversal
+from .model import ArrayGeometry, Position3, Positions, SampleGrid, TopologyKind, Traversal
 
 SPACING_MM = 70.0
 DEFAULT_HEIGHT_MM = 1000.0
@@ -83,24 +83,21 @@ def build_topology(kind: TopologyKind | str,
     raise ValueError(f"unknown topology kind: {kind!r}")
 
 
-def grid_positions(grid: SampleGrid, order: Traversal = Traversal.RASTER) -> list[Position3]:
-    """Enumerate every node of a positioner grid exactly once.
+def grid_positions(grid: SampleGrid, order: Traversal = Traversal.RASTER) -> Positions:
+    """Every node of a positioner grid exactly once, as one locked (N, 3) array.
 
     Rows run along x at fixed y; serpentine order reverses the x direction
-    on every other row. Degenerate extents collapse to a single point.
+    on every other row. A node is origin + index * resolution, one multiply
+    then one add per coordinate, as the scalar closed form rounds it.
+    Degenerate extents collapse to a single point.
     """
-    res = grid.resolution_mm
-    ox, oy, oz = grid.origin.x, grid.origin.y, grid.origin.z
-    nx, ny = grid.nx, grid.ny
-    positions = []
-    for iy in range(ny):
-        y = oy + iy * res
-        cols = range(nx)
-        if order is Traversal.SERPENTINE and iy % 2 == 1:
-            cols = range(nx - 1, -1, -1)
-        for ix in cols:
-            positions.append(Position3(ox + ix * res, y, oz))
-    return positions
+    o, res = grid.origin, grid.resolution_mm
+    xs = o.x + np.arange(grid.nx) * res
+    xyz = np.empty((grid.ny, grid.nx, 3))
+    xyz[..., 0], xyz[..., 1], xyz[..., 2] = xs, (o.y + np.arange(grid.ny) * res)[:, None], o.z
+    if order is Traversal.SERPENTINE:
+        xyz[1::2, :, 0] = xs[::-1]
+    return Positions(xyz.reshape(-1, 3))
 
 
 def default_positioner_grids(standoff_mm: float = DEFAULT_STANDOFF_MM,

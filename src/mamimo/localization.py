@@ -49,7 +49,8 @@ class FingerprintDb:
     """Feature vectors with their recording positions, in insertion order.
 
     The database takes ownership of its arrays: C-contiguous float64 input
-    is kept as it is, not copied, and locked read-only.
+    is kept as it is, not copied, and locked read-only; ``sqnorms`` holds
+    the rows' squared norms that every query reads.
     """
 
     def __init__(self, features, labels_mm, config: FeatureConfig, topology: str = ""):
@@ -61,8 +62,9 @@ class FingerprintDb:
             raise ValueError("features and labels must have equal length")
         if not (np.isfinite(features).all() and np.isfinite(labels_mm).all()):
             raise ValueError("features and labels must be finite")
-        features.flags.writeable = labels_mm.flags.writeable = False
-        self.features = features
+        sqnorms = np.einsum("nd,nd->n", features, features)
+        features.flags.writeable = labels_mm.flags.writeable = sqnorms.flags.writeable = False
+        self.features, self.sqnorms = features, sqnorms
         self.labels_mm = labels_mm
         self.config = config
         self.topology = topology
@@ -94,8 +96,8 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
 
 
 # Distances per query block (64 MiB; a 2,601-node leave-one-out is one block, which
-# numpy multiplies by its own transpose) and features per cache-sized re-rank gather.
-_BLOCK_ELEMENTS, _GATHER_ELEMENTS = 1 << 23, 1 << 16
+# numpy multiplies by its own transpose) and features per 2 MiB re-rank gather.
+_BLOCK_ELEMENTS, _GATHER_ELEMENTS = 1 << 23, 1 << 18
 
 
 def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = False):
@@ -111,7 +113,7 @@ def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = Fals
     if not 1 <= k <= n - exclude_self or q.shape[1] != dim:
         raise ValueError(f"need k in [1, {n - exclude_self}] and {dim} query features, "
                          f"got k={k} and {q.shape[1]}")
-    sqx, sqq = np.einsum("nd,nd->n", x, x), np.einsum("bd,bd->b", q, q)
+    sqx, sqq = db.sqnorms, db.sqnorms if q is x else np.einsum("bd,bd->b", q, q)
     u = (dim + 2) * np.finfo(np.float64).eps
     margin = 4.0 * u / (1.0 - u) * (np.sqrt(sqx.max()) + np.sqrt(sqq)) ** 2
     rows, pairs = max(1, _BLOCK_ELEMENTS // n), max(1, _GATHER_ELEMENTS // dim)

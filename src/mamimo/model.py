@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,33 @@ class Position3:
         return math.sqrt(
             (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
         )
+
+
+class Positions(Sequence):
+    """Position3 items over one locked (N, 3) float64 array ``xyz``: an int index
+    gives a Position3 of Python floats, a slice a view, and equality holds item
+    by item with any sequence of Position3. Like FingerprintDb it takes
+    ownership: a C-contiguous float64 array is kept, not copied, and locked."""
+
+    def __init__(self, points):
+        if not isinstance(points, np.ndarray):
+            points = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
+        xyz = np.ascontiguousarray(points, dtype=np.float64)
+        if xyz.ndim != 2 or xyz.shape[1] != 3 or not np.isfinite(xyz).all():
+            raise ValueError(f"positions must be a finite (N, 3) array, got shape {xyz.shape}")
+        xyz.flags.writeable = False
+        self.xyz = xyz
+
+    def __len__(self):
+        return self.xyz.shape[0]
+
+    def __getitem__(self, i):
+        return Positions(self.xyz[i]) if isinstance(i, slice) else Position3(*self.xyz[i].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +197,8 @@ class SampleGrid:
 
     Nodes lie every ``resolution_mm`` along each axis starting at ``origin``;
     the node count per axis is floor(extent / resolution) + 1, so the default
-    1250 mm extent at 5 mm resolution gives 251 nodes per axis.
+    1250 mm extent at 5 mm resolution gives 251 nodes per axis. An extent
+    the floor would cut one node short, as 250 mm at 0.1 mm, is refused.
     """
 
     origin: Position3 = field(default_factory=lambda: Position3(0.0, 0.0, 0.0))
@@ -179,12 +208,16 @@ class SampleGrid:
     positioner_id: int = 0
 
     def __post_init__(self):
-        if self.x_extent_mm < 0 or self.y_extent_mm < 0:
-            raise ValueError("extents must be nonnegative")
+        if not (0 <= self.x_extent_mm < math.inf and 0 <= self.y_extent_mm < math.inf):
+            raise ValueError("extents must be finite and nonnegative")
         if self.resolution_mm <= 0:
             raise ValueError("resolution must be positive")
         if not 0 <= self.positioner_id < 4:
             raise ValueError("positioner_id must be in [0, 4)")
+        for extent in (self.x_extent_mm, self.y_extent_mm):
+            q = extent / self.resolution_mm
+            if extent // self.resolution_mm < round(q) and math.isclose(q, round(q), rel_tol=1e-9):
+                raise ValueError(f"extent {extent} mm at {self.resolution_mm} mm drops its last node")
 
     @property
     def nx(self) -> int:

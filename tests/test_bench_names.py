@@ -98,3 +98,11 @@ def test_instance_attributes_read_by_bench_exist():
     missing = [f"{kind}.{attr}" for kind, (obj, attrs) in objects.items()
                for attr in attrs if not hasattr(obj, attr)]
     assert not missing, f"bench/ reads attributes mamimo no longer has: {missing}"
+
+    # Campaign.setup slices every slot, builds a plan from the slices, and its
+    # check iterates them and compares float coordinates with index.csv
+    full = campaign.plan_full_campaign(geometry.default_positioner_grids(extent_mm=10.0))
+    part = campaign.CampaignPlan(waypoints=[w[1:3] for w in full.waypoints], grids=full.grids)
+    labels = [(p.x, p.y, p.z) for wps in part.waypoints for p in wps]
+    assert len(labels) == 8 and all(type(v) is float for label in labels for v in label)
+    assert labels[:2] == [(q.x, q.y, q.z) for q in list(full.waypoints[0])[1:3]]

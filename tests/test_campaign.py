@@ -1,6 +1,7 @@
 import itertools
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from mamimo.campaign import (
 from mamimo.channel import los_channel
 from mamimo.dataio import load_index, read_sample
 from mamimo.geometry import default_positioner_grids
-from mamimo.model import Position3, SampleGrid, Traversal
+from mamimo.model import Position3, Positions, SampleGrid, Traversal
 
 
 @pytest.fixture()
@@ -65,6 +66,27 @@ class TestPlanning:
         grid = SampleGrid(x_extent_mm=10, y_extent_mm=10)
         with pytest.raises(ValueError):
             CampaignPlan(waypoints=[[Position3(50.0, 0.0, 0.0)]], grids=[grid])
+
+    def test_lists_wrapped_and_first_stray_named(self):
+        grid = SampleGrid(x_extent_mm=10, y_extent_mm=10)
+        inside = [Position3(0.0, 0.0, 0.0), Position3(10.0, 10.0, 0.0)]
+        plan = CampaignPlan(waypoints=[inside, []], grids=[grid, grid])
+        assert all(isinstance(w, Positions) for w in plan.waypoints)
+        assert plan.waypoints[0] == inside and plan.waypoints_per_positioner == [2, 0]
+        stray = inside + [Position3(0.0, 10.5, 0.0), Position3(-1.0, 0.0, 0.0)]
+        with pytest.raises(ValueError, match=r"waypoint \(0\.0, 10\.5\) outside positioner 0"):
+            CampaignPlan(waypoints=[stray], grids=[grid])
+
+    def test_default_plan_peak_memory_is_about_its_arrays(self):
+        tracemalloc.start()
+        try:
+            plan = default_campaign_plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(w.xyz.nbytes for w in plan.waypoints)
+        assert arrays == 4 * 63_001 * 3 * 8
+        assert peak <= 2 * arrays
 
     def test_at_most_four_positioners(self):
         grids = default_positioner_grids(extent_mm=10.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamimo.geometry import build_topology, default_positioner_grids, grid_positions, roi_center
-from mamimo.model import Position3, SampleGrid, Traversal
+from mamimo.model import Position3, Positions, SampleGrid, Traversal
 
 
 def min_pairwise_distance(points):
@@ -80,9 +80,44 @@ class TestGridPositions:
            res=st.floats(0.5, 50))
     @settings(max_examples=50, deadline=None)
     def test_count_formula(self, x_extent, y_extent, res):
-        g = SampleGrid(x_extent_mm=x_extent, y_extent_mm=y_extent, resolution_mm=res)
+        try:
+            g = SampleGrid(x_extent_mm=x_extent, y_extent_mm=y_extent, resolution_mm=res)
+        except ValueError:
+            # refused only where the floor drops a node that lies on the edge up to rounding
+            assert any(e // res + 1 == round(e / res) and abs(round(e / res) * res - e) <= 1e-9 * e
+                       for e in (x_extent, y_extent))
+            return
         expected = (int(x_extent // res) + 1) * (int(y_extent // res) + 1)
         assert len(grid_positions(g)) == expected
+
+    @pytest.mark.parametrize("order", list(Traversal))
+    @pytest.mark.parametrize("x_extent,y_extent", [(5.0, 2.0), (5.0, 2.5), (0.0, 0.0)])
+    def test_matches_closed_form_bit_for_bit(self, order, x_extent, y_extent):
+        g = SampleGrid(origin=Position3(-1252.5, 1003.3, 1000.0), x_extent_mm=x_extent,
+                       y_extent_mm=y_extent, resolution_mm=0.7)
+        expected = []
+        for iy in range(g.ny):
+            cols = range(g.nx)
+            if order is Traversal.SERPENTINE and iy % 2 == 1:
+                cols = reversed(cols)
+            expected += [(g.origin.x + ix * 0.7, g.origin.y + iy * 0.7, g.origin.z) for ix in cols]
+        pts = list(grid_positions(g, order))
+        assert all(type(p) is Position3 and type(p.x) is type(p.y) is type(p.z) is float
+                   for p in pts)
+        assert np.array([(p.x, p.y, p.z) for p in pts]).tobytes() == np.array(expected).tobytes()
+
+    def test_read_only_array_with_views(self):
+        g = SampleGrid(origin=Position3(-1252.5, 1003.3, 1000.0), x_extent_mm=10,
+                       y_extent_mm=10, resolution_mm=5)
+        pts = grid_positions(g, Traversal.SERPENTINE)
+        assert pts.xyz.shape == (9, 3) and pts.xyz.flags.c_contiguous
+        assert pts.xyz.tobytes() == np.array([(p.x, p.y, p.z) for p in pts]).tobytes()
+        with pytest.raises(ValueError):
+            pts.xyz[0, 0] = 1.0
+        part = pts[2:5]
+        assert isinstance(part, Positions) and np.shares_memory(part.xyz, pts.xyz)
+        assert part == list(pts)[2:5] and part[-1] == pts[4] == Position3(-1247.5, 1008.3, 1000.0)
+        assert pts != pts[1:] and pts != "abc"
 
 
 class TestDefaultArrangement:

@@ -107,6 +107,15 @@ class TestBuildFingerprints:
 
 
 class TestKnnLocate:
+    def test_row_norms_cached_and_locked(self, fast_radio, ura_small):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=10)
+        db = build_fingerprints(grid_samples(ura_small, fast_radio, grid))
+        x = db.features
+        assert db.sqnorms.tobytes() == np.einsum("nd,nd->n", x, x).tobytes()
+        with pytest.raises(ValueError):
+            db.sqnorms[0] = 0.0
+
     def test_exact_query_returns_stored_label(self, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=10)

@@ -98,9 +98,21 @@ class TestSampleGrid:
         g = SampleGrid(x_extent_mm=10, y_extent_mm=10, resolution_mm=5)
         assert g.nx == g.ny == 3
 
+    @pytest.mark.parametrize("extent,resolution", [(250.0, 0.1), (1.2, 0.4)])
+    def test_extent_off_by_rounding_refused(self, extent, resolution):
+        # floor(250 / 0.1) is 2499 and floor(1.2 / 0.4) is 2: the last node would be dropped
+        with pytest.raises(ValueError, match=rf"extent {extent} mm at {resolution} mm drops its last node"):
+            SampleGrid(x_extent_mm=extent, y_extent_mm=extent, resolution_mm=resolution)
+        with pytest.raises(ValueError):
+            SampleGrid(x_extent_mm=10.0, y_extent_mm=extent, resolution_mm=resolution)
+        # a true non-multiple still floors
+        assert SampleGrid(x_extent_mm=100.0, y_extent_mm=0.0, resolution_mm=0.7).nx == 143
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SampleGrid(resolution_mm=0)
+        with pytest.raises(ValueError):
+            SampleGrid(x_extent_mm=math.inf)
         with pytest.raises(ValueError):
             SampleGrid(x_extent_mm=-1)
         with pytest.raises(ValueError):
