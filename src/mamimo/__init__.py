@@ -51,7 +51,6 @@ from .localization import (
 from .campaign import (
     CampaignPlan,
     CaptureService,
-    TriggerMessage,
     VirtualPositioner,
     default_campaign_plan,
     plan_traversal,

@@ -4,7 +4,8 @@ The moving parts mirror a real channel-sounding rig: xy-positioner tables
 speaking a tiny G-code-style text protocol, a TCP capture service at the
 base station that snapshots one CSI sample per 6-byte trigger and writes it
 to disk, and a campaign runner that drives up to four positioners over
-their grids round-robin, one in-flight trigger at a time. Runner and
+their grids round-robin, one in-flight trigger at a time, in the order of
+the plan's one trigger schedule, ``CampaignPlan.triggers``. Runner and
 capture service communicate only through the TCP trigger contract, so the
 service can live in another thread or another process.
 
@@ -15,6 +16,8 @@ step time of the real tables. A table's waypoints are one array, ``Positions``.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import re
 import socket
@@ -54,20 +57,6 @@ _MOVE_RE = re.compile(r"^G0\s+X(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+Y(-?\d+(?:\.
 
 class CampaignError(Exception):
     """A waypoint failed; the message identifies positioner and node."""
-
-
-@dataclass(frozen=True, slots=True)
-class TriggerMessage:
-    """Exactly six bytes of [0-9A-Za-z_-]; doubles as the sample filename."""
-
-    payload: str
-
-    def __post_init__(self):
-        if not SAMPLE_ID_PATTERN.fullmatch(self.payload):
-            raise ValueError(f"trigger payload must be 6 chars of [0-9A-Za-z_-], got {self.payload!r}")
-
-    def to_bytes(self) -> bytes:
-        return self.payload.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +99,18 @@ class CampaignPlan:
         longest = max((len(w) for w in self.waypoints), default=0)
         return longest * STEP_S
 
-    def trigger_order(self) -> list[tuple[int, int]]:
-        """(slot, step) of the n-th trigger, in round-robin order."""
-        longest = max((len(w) for w in self.waypoints), default=0)
-        return [(slot, step)
-                for step in range(longest)
-                for slot, wps in enumerate(self.waypoints)
-                if step < len(wps)]
+    @functools.cached_property
+    def triggers(self) -> np.ndarray:
+        """Read-only (N, 2) ints: row n is the (slot, step) of trigger n, round-robin.
+
+        Every table's step s comes in slot order, then step s + 1; a table
+        that has run out of waypoints drops out. Built on first use.
+        """
+        lengths = np.array(self.waypoints_per_positioner, dtype=np.intp)
+        steps, slots = np.nonzero(np.arange(lengths.max(initial=0))[:, None] < lengths)
+        triggers = np.column_stack((slots, steps))
+        triggers.flags.writeable = False
+        return triggers
 
 
 def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
@@ -240,19 +234,14 @@ class PositionerServer(_TcpServer):
         self.positioner = positioner
 
     def _handle(self, conn: socket.socket):
-        with conn:
-            conn.settimeout(5.0)
-            buf = b""
+        conn.settimeout(5.0)
+        with conn, conn.makefile("rb") as lines:
             try:
-                while not self._stop.is_set():
-                    data = conn.recv(1024)
-                    if not data:
-                        break
-                    buf += data
-                    while b"\n" in buf:
-                        line, buf = buf.split(b"\n", 1)
-                        reply = self.positioner.execute(line.decode("ascii", errors="replace"))
-                        conn.sendall(reply.encode("ascii"))
+                for line in lines:
+                    if self._stop.is_set() or not line.endswith(b"\n"):
+                        break  # stopping, or the client left mid-line
+                    reply = self.positioner.execute(line.decode("ascii", errors="replace"))
+                    conn.sendall(reply.encode("ascii"))
             except OSError:
                 pass
 
@@ -267,15 +256,10 @@ class TcpPositioner:
     def execute(self, command: str) -> str:
         if not command.endswith("\n"):
             command += "\n"
-        with socket.create_connection(self.address, timeout=self.timeout) as sock:
+        with socket.create_connection(self.address, timeout=self.timeout) as sock, \
+                sock.makefile("rb") as replies:
             sock.sendall(command.encode("ascii"))
-            reply = b""
-            while not reply.endswith(b"\n"):
-                data = sock.recv(64)
-                if not data:
-                    break
-                reply += data
-        return reply.decode("ascii")
+            return replies.readline().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +292,26 @@ class CaptureService(_TcpServer):
         self.rejects = 0
 
     def _handle(self, conn: socket.socket):
-        with conn:
-            conn.settimeout(5.0)
-            payload = b""
+        conn.settimeout(5.0)
+        with conn, conn.makefile("rb") as stream:
             try:
-                while len(payload) < 6:
-                    data = conn.recv(6 - len(payload))
-                    if not data:
-                        return  # client went away mid-payload
-                    payload += data
+                payload = stream.read(6)
             except OSError:
                 return
+            if len(payload) < 6:
+                return  # client went away mid-payload
             try:
                 text = payload.decode("ascii")
                 if not SAMPLE_ID_PATTERN.fullmatch(text):
                     raise ValueError(f"invalid trigger payload {payload!r}")
                 write_sample(Path(self.out_dir) / f"{text}.bin", self.channel_source(text))
+                self.captures += 1
+                reply = ACK
             except Exception:
                 self.rejects += 1
-                try:
-                    conn.sendall(NAK)
-                except OSError:
-                    pass
-                return
-            self.captures += 1
+                reply = NAK
             try:
-                conn.sendall(ACK)
+                conn.sendall(reply)
             except OSError:
                 pass
 
@@ -352,11 +330,11 @@ def trigger_capture(address, payload, timeout: float = 5.0) -> str:
     port raises the usual connection error. Re-triggering the same payload
     overwrites the sample file atomically on the service side.
     """
-    message = payload if isinstance(payload, TriggerMessage) else TriggerMessage(payload)
+    if not SAMPLE_ID_PATTERN.fullmatch(payload):
+        raise ValueError(f"trigger payload must be 6 chars of [0-9A-Za-z_-], got {payload!r}")
     try:
         with socket.create_connection(tuple(address), timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            sock.sendall(message.to_bytes())
+            sock.sendall(payload.encode("ascii"))
             reply = sock.recv(1)
     except socket.timeout:
         return TriggerResult.TIMEOUT
@@ -372,10 +350,10 @@ def trigger_capture(address, payload, timeout: float = 5.0) -> str:
 class SyntheticChannelSource:
     """Generates the CSI the base station would measure at trigger time.
 
-    The sample id is the trigger's number in the plan's round-robin order,
-    as ``run_campaign`` assigns it, which names a positioner slot and
-    waypoint; the channel comes from that table's physical (error-injected)
-    position, on the pilots of the user whose id is the slot. An id outside
+    The sample id is the trigger's row in ``plan.triggers``, as
+    ``run_campaign`` assigns it, which names a positioner slot and waypoint;
+    the channel comes from that table's physical (error-injected) position,
+    on the pilots of the user whose id is the slot. An id outside
     the plan, or one whose waypoint the table is not commanded to, raises.
     Noise is keyed on the id, so a retried trigger or a rerun reproduces the
     same bytes.
@@ -388,15 +366,14 @@ class SyntheticChannelSource:
         self.radio = radio
         self.positioners = list(positioners)
         self.plan = plan
-        self.triggers = plan.trigger_order()
         self.scatterers = list(scatterers)
         self.snr_db = snr_db
         self.seed = seed
 
     def __call__(self, sample_id: str) -> CsiSample:
-        if not _TRIGGER_ID_RE.fullmatch(sample_id) or int(sample_id) >= len(self.triggers):
+        if not _TRIGGER_ID_RE.fullmatch(sample_id) or int(sample_id) >= len(self.plan.triggers):
             raise ValueError(f"trigger {sample_id!r} is not in the campaign plan")
-        slot, step = self.triggers[int(sample_id)]
+        slot, step = self.plan.triggers[int(sample_id)].tolist()
         grid, target = self.plan.grids[slot], self.plan.waypoints[slot][step]
         positioner = self.positioners[slot]
         if positioner.position_mm != (target.x - grid.origin.x, target.y - grid.origin.y):
@@ -417,8 +394,8 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
 
     ``positioners`` are objects with the text-protocol ``execute`` surface
     (in-process tables or TCP drivers), one per plan slot; the capture
-    service is reached only through its TCP address. Trigger n of the plan's
-    ``trigger_order`` gets the zero-padded decimal sample id n. Index labels
+    service is reached only through its TCP address. Trigger n, row n of
+    ``plan.triggers``, gets the zero-padded decimal sample id n. Index labels
     are the commanded waypoint coordinates, and a sample's user id is its
     slot. Any positioner error or NAK aborts with the failing waypoint
     identified.
@@ -435,9 +412,11 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
             raise CampaignError(f"positioner {slot} failed to home: {reply.strip()!r}")
 
     records: list[SampleRecord] = []
-    triggers = enumerate(plan.trigger_order())
-    for step, group in itertools.groupby(triggers, key=lambda t: t[1][1]):
-        group = [(n, slot) for n, (slot, _) in group]
+    # rows [edges[s], edges[s + 1]) of the schedule are step s of every active table
+    edges = np.searchsorted(plan.triggers[:, 1],
+                            np.arange(max(plan.waypoints_per_positioner, default=0) + 1))
+    for step, (start, stop) in enumerate(itertools.pairwise(edges.tolist())):
+        group = list(enumerate(plan.triggers[start:stop, 0].tolist(), start))
         # all active positioners move to this step's node concurrently ...
         for _, slot in group:
             target = plan.waypoints[slot][step]
@@ -488,18 +467,14 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
     ]
     source = SyntheticChannelSource(geometry, radio, positioners, plan,
                                     scatterers=scatterers, snr_db=snr_db, seed=seed)
-    servers: list[PositionerServer] = []
-    drivers = positioners
-    try:
+    with contextlib.ExitStack() as stack:
+        drivers = positioners
         if positioner_address is not None:
             host, base_port = positioner_address
-            for i, table in enumerate(positioners):
-                port = base_port + i if base_port else 0
-                servers.append(PositionerServer(table, (host, port)).start())
+            ports = (base_port + i if base_port else 0 for i in range(len(positioners)))
+            servers = [stack.enter_context(PositionerServer(table, (host, port)))
+                       for table, port in zip(positioners, ports)]
             drivers = [TcpPositioner(s.address) for s in servers]
-        with CaptureService(out_dir, source, address=capture_address) as service:
-            return run_campaign(plan, drivers, service.address, out_dir,
-                                topology=topology, radio=radio)
-    finally:
-        for server in servers:
-            server.stop()
+        service = stack.enter_context(CaptureService(out_dir, source, address=capture_address))
+        return run_campaign(plan, drivers, service.address, out_dir,
+                            topology=topology, radio=radio)

@@ -104,9 +104,9 @@ def _synth_samples(args, grid: SampleGrid, stream: int, snr_db: float, user_id=0
 
 
 def _cmd_synth(args) -> int:
+    grid = _grid(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = _grid(args)
     records = []
     for sample in _synth_samples(args, grid, chan.STREAM_GRID, args.snr_db,
                                  user_id=args.user_id):

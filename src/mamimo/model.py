@@ -102,9 +102,6 @@ class RadioConfig:
     total_subcarriers: int = 1200
     pilot_count: int = 100
     interleave_factor: int = 12
-    tx_power_dbm: float = 18.5
-    rx_gain_db: float = 15.0
-    symbol_duration_s: float = 7.1e-6
 
     def __post_init__(self):
         for name in (
@@ -113,7 +110,6 @@ class RadioConfig:
             "total_subcarriers",
             "pilot_count",
             "interleave_factor",
-            "symbol_duration_s",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

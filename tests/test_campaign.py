@@ -1,6 +1,7 @@
 import itertools
 import socket
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from mamimo.campaign import (
     CaptureService,
     PositionerServer,
     TcpPositioner,
-    TriggerMessage,
     TriggerResult,
     VirtualPositioner,
     default_campaign_plan,
@@ -26,8 +26,13 @@ from mamimo.campaign import (
 )
 from mamimo.channel import los_channel
 from mamimo.dataio import load_index, read_sample
-from mamimo.geometry import default_positioner_grids
+from mamimo.geometry import default_positioner_grids, grid_positions
 from mamimo.model import Position3, Positions, SampleGrid, Traversal
+
+
+# an unclosed socket or socket file fails the test instead of passing silently
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning",
+                                        "error::pytest.PytestUnraisableExceptionWarning")
 
 
 @pytest.fixture()
@@ -97,7 +102,43 @@ class TestPlanning:
         g = SampleGrid(x_extent_mm=5, y_extent_mm=0, resolution_mm=5)  # 2 nodes
         g1 = SampleGrid(x_extent_mm=0, y_extent_mm=0)  # 1 node
         plan = plan_full_campaign([g, g1])
-        assert [slot for slot, _ in plan.trigger_order()] == [0, 1, 0]
+        assert plan.triggers[:, 0].tolist() == [0, 1, 0]
+
+
+def _round_robin(plan):
+    """(slot, step) of each trigger: every table's step s in slot order, then s + 1."""
+    longest = max(plan.waypoints_per_positioner, default=0)
+    return [(slot, step)
+            for step in range(longest)
+            for slot, wps in enumerate(plan.waypoints)
+            if step < len(wps)]
+
+
+class TestTriggerSchedule:
+    @pytest.mark.parametrize("lengths", [(3, 1, 4, 2), (2, 0, 1), (0,), ()])
+    def test_matches_round_robin(self, lengths):
+        grid = SampleGrid(x_extent_mm=10, y_extent_mm=0, resolution_mm=1)
+        nodes = grid_positions(grid)
+        plan = CampaignPlan(waypoints=[nodes[:n] for n in lengths], grids=[grid] * len(lengths))
+        assert plan.triggers.shape == (sum(lengths), 2)
+        assert [tuple(row) for row in plan.triggers.tolist()] == _round_robin(plan)
+
+    def test_default_plan(self):
+        plan = default_campaign_plan()
+        tracemalloc.start()
+        try:
+            triggers = plan.triggers
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.2e6
+        assert [tuple(row) for row in triggers.tolist()] == _round_robin(plan)
+
+    def test_read_only_and_built_once(self):
+        plan = _two_table_plan()
+        assert plan.triggers is plan.triggers
+        with pytest.raises(ValueError):
+            plan.triggers[0, 0] = 1
 
 
 class TestVirtualPositioner:
@@ -144,21 +185,27 @@ class TestVirtualPositioner:
             VirtualPositioner(max_error_mm=0.2)
 
 
+def _closed_port():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    addr = probe.getsockname()
+    probe.close()
+    return addr
+
+
 class TestTriggerMessage:
+    # a ValueError and not a refused connection: the payload is checked before connecting
     def test_short_payload_rejected_before_send(self):
-        with pytest.raises(ValueError):
-            TriggerMessage("00042")
+        with pytest.raises(ValueError, match="6 chars"):
+            trigger_capture(_closed_port(), "00042")
 
     def test_bad_charset_rejected(self):
-        with pytest.raises(ValueError):
-            TriggerMessage("00/042")
-
-    def test_six_bytes(self):
-        assert TriggerMessage("00Az_-").to_bytes() == b"00Az_-"
+        with pytest.raises(ValueError, match="6 chars"):
+            trigger_capture(_closed_port(), "00/042")
 
     def test_trailing_newline_rejected(self):
-        with pytest.raises(ValueError):
-            TriggerMessage("00Az_-\n")
+        with pytest.raises(ValueError, match="6 chars"):
+            trigger_capture(_closed_port(), "00Az_-\n")
 
 
 class TestCaptureService:
@@ -212,13 +259,40 @@ class TestCaptureService:
         assert first != second
         assert [p.name for p in tmp_path.iterdir()] == ["000001.bin"]
 
+    @pytest.mark.parametrize("sent", [b"", b"000"])
+    def test_stray_connection_gets_no_reply_and_counts_nothing(self, tmp_path, fixed_source,
+                                                               sent):
+        with CaptureService(tmp_path, fixed_source) as service:
+            with socket.create_connection(service.address, timeout=5.0) as sock:
+                sock.sendall(sent)
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b""  # the service closed without a reply
+            assert (service.captures, service.rejects) == (0, 0)
+            assert trigger_capture(service.address, "000001") == TriggerResult.ACK
+            assert (service.captures, service.rejects) == (1, 0)
+        assert [p.name for p in tmp_path.iterdir()] == ["000001.bin"]
+
+    def test_rejects_count_charset_source_and_write_failures(self, tmp_path, fixed_source):
+        def source(sample_id):
+            if sample_id == "000001":
+                raise RuntimeError("radio offline")
+            return fixed_source(sample_id)
+
+        (tmp_path / "000002.bin").mkdir()  # the sample file cannot replace a directory
+        with CaptureService(tmp_path, source) as service:
+            with socket.create_connection(service.address, timeout=5.0) as sock:
+                sock.sendall(b"00/042")
+                assert sock.recv(1) == NAK
+            assert trigger_capture(service.address, "000001") == TriggerResult.NAK
+            assert trigger_capture(service.address, "000002") == TriggerResult.NAK
+            assert trigger_capture(service.address, "000003") == TriggerResult.ACK
+            assert (service.captures, service.rejects) == (1, 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["000002.bin", "000003.bin"]
+        assert (tmp_path / "000002.bin").is_dir()
+
     def test_connection_refused_on_closed_port(self):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        addr = probe.getsockname()
-        probe.close()
         with pytest.raises(OSError):
-            trigger_capture(addr, "000000", timeout=2.0)
+            trigger_capture(_closed_port(), "000000", timeout=2.0)
 
     def test_timeout_when_server_never_replies(self, tmp_path):
         listener = socket.create_server(("127.0.0.1", 0))
@@ -313,7 +387,7 @@ class TestRunCampaign:
         full = plan_full_campaign(grids)
         plan = CampaignPlan(waypoints=[full.waypoints[0][:2], full.waypoints[1][:1]],
                             grids=grids)
-        order = plan.trigger_order()
+        order = [tuple(row) for row in plan.triggers.tolist()]
         assert order == [(0, 0), (1, 0), (0, 1)]
         index = simulate_campaign(plan, ura_small, fast_radio, tmp_path)
         assert [r.sample_id for r in index.records] == [f"{n:06d}" for n in range(3)]
@@ -413,6 +487,26 @@ class TestPositionerOverTcp:
             assert driver.execute("G0 X12 Y34") == "ok\n"
             assert driver.execute("G0 X9999 Y0") == "error:bounds\n"
         assert table.position_mm == (12.0, 34.0)
+
+    @pytest.mark.parametrize("chunks, replies, position", [
+        ([b"G28\nG0 X1 Y2\n"], b"ok\nok\n", (1.0, 2.0)),  # two commands, one send
+        ([b"G2", b"8\n"], b"ok\n", (0.0, 0.0)),  # one command over two sends
+        ([b"G28\nG0 X1 Y2"], b"ok\n", (0.0, 0.0)),  # a final line without LF is ignored
+        ([b"G28\n", b"G0 X\xff1 Y2\n"], b"ok\nerror:parse\n", (0.0, 0.0)),
+    ])
+    def test_server_reads_lines_from_the_stream(self, chunks, replies, position):
+        table = VirtualPositioner()
+        with PositionerServer(table) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                for chunk in chunks:
+                    sock.sendall(chunk)
+                    time.sleep(0.02)
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while data := sock.recv(64):
+                    received += data
+        assert received == replies
+        assert table.homed and table.position_mm == position
 
     def test_campaign_through_tcp_positioner(self, tmp_path, fixed_source):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),

@@ -46,6 +46,13 @@ class TestSynthAndInspect:
         assert len(index) == 9
         assert index.topology == "ura"
 
+    def test_synth_refused_grid_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "badgrid"
+        assert run_cli("synth", "--extent-mm", "1.2", "--resolution-mm", "0.4",
+                       "--out", str(out)) == 1
+        assert "error" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
     def test_inspect_prints_header(self, tmp_path, rng, capsys):
         path = tmp_path / "000042.bin"
         write_sample(path, CsiSample(random_csi_matrix(rng, 64, 100)))
@@ -170,6 +177,9 @@ class TestScatterers:
         assert not np.allclose(chan.los_channel(ura, pos, radio).h, expected)
 
 
+# an unclosed pipe or socket fails the test instead of passing silently
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 class TestServeCaptureProcess:
     def test_standalone_service_process(self, tmp_path):
         import socket
@@ -184,27 +194,28 @@ class TestServeCaptureProcess:
         port = probe.getsockname()[1]
         probe.close()
         out = tmp_path / "captures"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "mamimo", "serve-capture",
-             "--addr", f"127.0.0.1:{port}", "--out", str(out),
-             "--position", "0,1500"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        try:
-            reply = b""
-            for _ in range(100):
-                time.sleep(0.05)
-                try:
-                    with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
-                        sock.sendall(b"proc01")
-                        reply = sock.recv(1)
-                    break
-                except OSError:
-                    continue
-            assert reply == ACK
-            assert (out / "proc01.bin").exists()
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+        # leaving the with block closes the pipes
+        with subprocess.Popen(
+                [sys.executable, "-m", "mamimo", "serve-capture",
+                 "--addr", f"127.0.0.1:{port}", "--out", str(out),
+                 "--position", "0,1500"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                reply = b""
+                for _ in range(100):
+                    time.sleep(0.05)
+                    try:
+                        with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+                            sock.sendall(b"proc01")
+                            reply = sock.recv(1)
+                        break
+                    except OSError:
+                        continue
+                assert reply == ACK
+                assert (out / "proc01.bin").exists()
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
 
 
 class TestScheduleCli:

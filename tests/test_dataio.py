@@ -234,10 +234,10 @@ class TestConfigText:
             parse_config_text("no equals sign here")
 
     def test_radio_from_mapping(self):
-        r = radio_config_from_mapping({"carrier_hz": "3.5e9", "tx_power_dbm": "20"})
-        assert r.carrier_hz == 3.5e9
-        assert r.tx_power_dbm == 20.0
-        assert r.total_subcarriers == 1200  # untouched default
+        # an old index.csv still carries the deleted link-budget fields; they are skipped
+        r = radio_config_from_mapping({"carrier_hz": "3.5e9", "tx_power_dbm": "20",
+                                       "rx_gain_db": "15.0", "symbol_duration_s": "7.1e-06"})
+        assert r == RadioConfig(carrier_hz=3.5e9)
 
     @pytest.mark.parametrize("comment", ["# carrier_hz = abc", "# pilot_count = 1.5",
                                          "# pilot_count = 99", "# no key here"])
