@@ -35,7 +35,6 @@ from .dsp import (
     mrt_weights,
     normalize_power_maps,
     power_map,
-    received_power,
     zf_weights,
 )
 from .scheduling import PoolUser, Schedule, UserPool, def_schedule, evaluate_schedule, sus_select

@@ -50,6 +50,9 @@ ACCURACY_BOUND_MM = 0.1
 #: Live time per grid node of the real tables (move, settle, capture), seconds.
 STEP_S = 0.7
 
+#: Longest wait on a socket, seconds; a capture waits a fifth of it for the trigger.
+TIMEOUT_S = 5.0
+
 _TRIGGER_ID_RE = re.compile(r"[0-9]{6}")
 
 _MOVE_RE = re.compile(r"^G0\s+X(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+Y(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)$")
@@ -234,7 +237,7 @@ class PositionerServer(_TcpServer):
         self.positioner = positioner
 
     def _handle(self, conn: socket.socket):
-        conn.settimeout(5.0)
+        conn.settimeout(TIMEOUT_S)
         with conn, conn.makefile("rb") as lines:
             try:
                 for line in lines:
@@ -249,14 +252,13 @@ class PositionerServer(_TcpServer):
 class TcpPositioner:
     """Client-side driver: same execute() surface as VirtualPositioner."""
 
-    def __init__(self, address, timeout: float = 5.0):
+    def __init__(self, address):
         self.address = tuple(address)
-        self.timeout = timeout
 
     def execute(self, command: str) -> str:
         if not command.endswith("\n"):
             command += "\n"
-        with socket.create_connection(self.address, timeout=self.timeout) as sock, \
+        with socket.create_connection(self.address, timeout=TIMEOUT_S) as sock, \
                 sock.makefile("rb") as replies:
             sock.sendall(command.encode("ascii"))
             return replies.readline().decode("ascii")
@@ -281,7 +283,8 @@ class CaptureService(_TcpServer):
     one ACK byte (0x06). The source decides from the id alone which sample
     that is, and raises for an id it cannot pair with a position; any
     failure replies NAK (0x15) and leaves no file behind. Connections are
-    handled strictly one at a time, in arrival order.
+    handled strictly one at a time, in arrival order, so a client that falls
+    silent for ``TIMEOUT_S / 5`` before its sixth byte is dropped unanswered.
     """
 
     def __init__(self, out_dir, channel_source, address=("127.0.0.1", 0)):
@@ -292,7 +295,7 @@ class CaptureService(_TcpServer):
         self.rejects = 0
 
     def _handle(self, conn: socket.socket):
-        conn.settimeout(5.0)
+        conn.settimeout(TIMEOUT_S / 5)
         with conn, conn.makefile("rb") as stream:
             try:
                 payload = stream.read(6)
@@ -323,7 +326,7 @@ class CaptureService(_TcpServer):
             pass
 
 
-def trigger_capture(address, payload, timeout: float = 5.0) -> str:
+def trigger_capture(address, payload) -> str:
     """One trigger round trip; returns TriggerResult.ACK / NAK / TIMEOUT.
 
     The payload is validated client-side before anything is sent. A closed
@@ -333,7 +336,7 @@ def trigger_capture(address, payload, timeout: float = 5.0) -> str:
     if not SAMPLE_ID_PATTERN.fullmatch(payload):
         raise ValueError(f"trigger payload must be 6 chars of [0-9A-Za-z_-], got {payload!r}")
     try:
-        with socket.create_connection(tuple(address), timeout=timeout) as sock:
+        with socket.create_connection(tuple(address), timeout=TIMEOUT_S) as sock:
             sock.sendall(payload.encode("ascii"))
             reply = sock.recv(1)
     except socket.timeout:
@@ -388,8 +391,7 @@ class SyntheticChannelSource:
 
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
-                 topology: str = "", radio: RadioConfig | None = None,
-                 timeout: float = 5.0) -> DatasetIndex:
+                 topology: str = "", radio: RadioConfig | None = None) -> DatasetIndex:
     """Drive the positioners over the plan, triggering one capture per node.
 
     ``positioners`` are objects with the text-protocol ``execute`` surface
@@ -431,7 +433,7 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
         # ... then the captures are triggered in slot order
         for n, slot in group:
             sample_id = f"{n:06d}"
-            result = trigger_capture(capture_address, sample_id, timeout=timeout)
+            result = trigger_capture(capture_address, sample_id)
             if result != TriggerResult.ACK:
                 raise CampaignError(
                     f"capture trigger {sample_id} for positioner {slot} waypoint {step} "

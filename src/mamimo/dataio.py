@@ -154,20 +154,6 @@ class DatasetIndex:
         return iter(self.records)
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment, blanks ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def radio_config_from_mapping(values: dict[str, str]) -> RadioConfig:
     """Build a RadioConfig from the keys ``save_index`` writes, using defaults
     for the rest; each value is cast to the type of its field's default."""
@@ -192,12 +178,12 @@ def load_index(path) -> DatasetIndex:
     """Load an index CSV; sample files are resolved next to the index.
 
     Fails on duplicate sample ids (naming the id), malformed rows (a bad
-    sample id or a user id outside [0, MAX_USERS) among them) or radio
-    comments, and referenced files that do not exist.
+    sample id or a user id outside [0, MAX_USERS) among them), a ``#`` line
+    that is not ``key = value``, bad radio values and missing sample files.
     """
     path = Path(path)
     base = path.parent
-    comments = []
+    config: dict[str, str] = {}
     records: list[SampleRecord] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -206,7 +192,13 @@ def load_index(path) -> DatasetIndex:
             if not line.strip():
                 continue
             if line.lstrip().startswith("#"):
-                comments.append(line.lstrip()[1:])
+                text = line.lstrip()[1:].split("#", 1)[0]
+                key, eq, value = text.partition("=")
+                if eq:
+                    config[key.strip()] = value.strip()
+                elif text.strip():
+                    raise IndexFormatError(f"{path}:{lineno}: expected '# key = value', "
+                                           f"got {line!r}")
                 continue
             row = next(csv.reader([line]))
             if row[0] == "sample_id":  # column header
@@ -226,9 +218,8 @@ def load_index(path) -> DatasetIndex:
             if not record.path.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: missing sample file {record.path}")
             records.append(record)
+    has_radio = any(f.name in config for f in fields(RadioConfig))
     try:
-        config = parse_config_text("\n".join(comments))
-        has_radio = any(f.name in config for f in fields(RadioConfig))
         radio = radio_config_from_mapping(config) if has_radio else None
     except ValueError as exc:
         raise IndexFormatError(f"{path}: comment header: {exc}") from exc

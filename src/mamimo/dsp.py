@@ -55,10 +55,6 @@ class PrecodingWeights:
         w.flags.writeable = False
         self.w = w
 
-    @property
-    def n_users(self) -> int:
-        return self.w.shape[0]
-
 
 def mrt_weights(h: np.ndarray) -> PrecodingWeights:
     """Maximum-ratio weights for one user: w_k = conj(h_k) / ||h_k||.
@@ -102,24 +98,6 @@ def zf_weights(H: np.ndarray) -> PrecodingWeights:
     return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True))
 
 
-def received_power(h_eval: np.ndarray, weights: PrecodingWeights, budget: LinkBudget):
-    """Power received at an evaluation channel from the first user's beams.
-
-    Returns (per_subcarrier, total) linear powers, where per-subcarrier
-    power is P_user * |h_k^T w_k|^2 and the total is the mean over
-    subcarriers. P_user is the equal split of the budget over the weights'
-    scheduled users.
-    """
-    h_eval = np.asarray(h_eval, dtype=np.complex128)
-    w = weights.w[0]
-    if h_eval.shape != w.shape:
-        raise ValueError(f"evaluation channel {h_eval.shape} does not match weights {w.shape}")
-    p_user = budget.per_user_power(weights.n_users)
-    amps = np.einsum("mf,mf->f", h_eval, w)
-    per_subcarrier = p_user * np.abs(amps) ** 2
-    return per_subcarrier, float(np.mean(per_subcarrier))
-
-
 class PowerMap:
     """Received power over a positioner grid for one beamformed target.
 
@@ -158,10 +136,10 @@ def power_map(grid: SampleGrid, samples, target: CsiSample,
 
     ``samples`` supplies one CsiSample per grid node in raster order
     (an iterable; a dataset stream works). Weights are computed once from
-    the target sample, then every node's channel is evaluated against them.
-    The result is unnormalized; normalization is a separate, explicit step
-    because the comparison set (a single map, or several maps that must
-    share a colour scale) is the caller's choice.
+    the target sample; a node's value is P mean_f |h_f^T w_f|^2, with the
+    whole budget P on the one user. The result is unnormalized; scaling is
+    a separate, explicit step because the comparison set (a single map, or
+    several maps that must share a colour scale) is the caller's choice.
     """
     if scheme is PrecodingScheme.MRT:
         weights = mrt_weights(target.h)
@@ -169,6 +147,7 @@ def power_map(grid: SampleGrid, samples, target: CsiSample,
         weights = zf_weights(target.h[None, :, :])
     else:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
+    w, p = weights.w[0], budget.total_tx_power
     values = np.empty(grid.node_count, dtype=np.float64)
     count = 0
     for i, sample in enumerate(samples):
@@ -176,7 +155,7 @@ def power_map(grid: SampleGrid, samples, target: CsiSample,
             raise ValueError(f"more samples than the {grid.node_count} grid nodes")
         if sample.h.shape != target.h.shape:
             raise ValueError(f"sample {i} shape {sample.h.shape} does not match target")
-        _, values[i] = received_power(sample.h, weights, budget)
+        values[i] = np.mean(p * np.abs(np.einsum("mf,mf->f", sample.h, w)) ** 2)
         count += 1
     if count != grid.node_count:
         raise ValueError(f"got {count} samples for {grid.node_count} grid nodes")

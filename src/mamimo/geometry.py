@@ -20,6 +20,7 @@ import numpy as np
 from .model import ArrayGeometry, Position3, Positions, SampleGrid, TopologyKind, Traversal
 
 SPACING_MM = 70.0
+URA_SIDE = 8
 DEFAULT_HEIGHT_MM = 1000.0
 DEFAULT_STANDOFF_MM = 1000.0
 OCTAGON_RADIUS_MM = 2500.0
@@ -34,11 +35,10 @@ def roi_center(standoff_mm: float = DEFAULT_STANDOFF_MM) -> Position3:
 
 
 def build_topology(kind: TopologyKind | str,
-                   standoff_mm: float = DEFAULT_STANDOFF_MM,
-                   ura_shape: tuple[int, int] = (8, 8)) -> ArrayGeometry:
+                   standoff_mm: float = DEFAULT_STANDOFF_MM) -> ArrayGeometry:
     """Construct the element layout of one of the supported deployments.
 
-    URA: ``ura_shape`` panel in the x/z plane, centred on x = 0 at the
+    URA: ``URA_SIDE`` x ``URA_SIDE`` panel in the x/z plane, centred on x = 0 at the
     array height. Element order is row-major from the bottom row, left
     to right.
 
@@ -53,12 +53,9 @@ def build_topology(kind: TopologyKind | str,
     kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
 
     if kind is TopologyKind.URA:
-        rows, cols = ura_shape
-        if rows < 1 or cols < 1:
-            raise ValueError("ura_shape must be at least 1x1")
-        xs = (np.arange(cols) - (cols - 1) / 2.0) * SPACING_MM
-        zs = DEFAULT_HEIGHT_MM + (np.arange(rows) - (rows - 1) / 2.0) * SPACING_MM
-        return ArrayGeometry(kind, [[x, 0.0, z] for z in zs for x in xs])
+        offsets = (np.arange(URA_SIDE) - (URA_SIDE - 1) / 2.0) * SPACING_MM
+        return ArrayGeometry(kind, [[x, 0.0, DEFAULT_HEIGHT_MM + z]
+                                    for z in offsets for x in offsets])
 
     if kind is TopologyKind.ULA:
         n = ULA_ELEMENTS

@@ -120,11 +120,17 @@ def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = Fals
     idx, dist = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
     for s in range(0, len(q), rows):
         qb = q[s:s + rows]
-        d2 = -2.0 * (qb @ x.T) + sqx + sqq[s:s + rows, None]
+        d2 = qb @ x.T  # then -2 q.x + |x|^2 + |q|^2 in place: one block, no temporaries
+        d2 *= -2.0
+        d2 += sqx
+        d2 += sqq[s:s + rows, None]
         if exclude_self:
             d2[np.arange(len(qb)), np.arange(s, s + len(qb))] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        # in row chunks, copying each column: a view would keep its chunk's partitioned copy
+        kth = np.concatenate([np.partition(d2[i:i + 64], k - 1, axis=1)[:, k - 1].copy()
+                              for i in range(0, len(qb), 64)])
         r, c = np.nonzero(d2 <= (kth + margin[s:s + rows])[:, None])  # row-major: c ascends
+        del d2  # the re-rank reads only the candidates
         exact = np.concatenate([np.linalg.norm(x[c[p:p + pairs]] - qb[r[p:p + pairs]], axis=1)
                                 for p in range(0, len(c), pairs)])
         first = np.searchsorted(r, np.arange(len(qb)))

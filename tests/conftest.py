@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from mamimo.geometry import build_topology
-from mamimo.model import RadioConfig
+from mamimo.geometry import DEFAULT_HEIGHT_MM, SPACING_MM, build_topology
+from mamimo.model import ArrayGeometry, RadioConfig, TopologyKind
+
+
+def small_ura() -> ArrayGeometry:
+    """A 2x2 panel laid out like the 8x8 URA: 4 antennas, row-major from the bottom."""
+    offsets = np.array([-0.5, 0.5]) * SPACING_MM
+    return ArrayGeometry(TopologyKind.URA,
+                         [[x, 0.0, DEFAULT_HEIGHT_MM + z] for z in offsets for x in offsets])
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +30,7 @@ def ura():
 
 @pytest.fixture(scope="session")
 def ura_small():
-    # 2x2 panel, 4 antennas
-    return build_topology("ura", ura_shape=(2, 2))
+    return small_ura()
 
 
 @pytest.fixture()

@@ -2,18 +2,22 @@
 
 ``bench/`` calls the program through its public names (and a few internal
 ones the tracer wraps), and reads attributes of the objects they return.
-Deleting or renaming one breaks ``bench/run.py`` without failing any other
-test, so these checks resolve every such name.
+Deleting or renaming one, or a parameter that ``bench/`` passes, breaks
+``bench/run.py`` without failing any other test, so these checks resolve
+every such name and bind every such call.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from mamimo import campaign, channel, dsp, geometry, localization, scheduling
 from mamimo.model import Position3, RadioConfig, SampleGrid
+
+from conftest import small_ura
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,27 +33,33 @@ def _missing(names) -> list[str]:
     return missing
 
 
-def _mamimo_reads(path: Path) -> set[tuple[str, str]]:
-    """(module, dotted attribute) of every name the file reads from a mamimo
-    module: ``from mamimo.x import y`` imports and ``x.y.z`` chains on a module
-    bound by ``from mamimo import x``."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules, reads = {}, set()
+def _mamimo_uses(tree: ast.AST) -> dict[ast.AST, tuple[str, str]]:
+    """(module, dotted attribute) of every node that reads a name from a mamimo
+    module: ``from mamimo.x import y`` imports and their uses, and ``x.y.z``
+    chains on a module bound by ``from mamimo import x``."""
+    modules, imported, uses = {}, {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mamimo":
             for alias in node.names:
                 if node.module == "mamimo":
                     modules[alias.asname or alias.name] = f"mamimo.{alias.name}"
                 else:
-                    reads.add((node.module, alias.name))
+                    imported[alias.asname or alias.name] = uses[alias] = (node.module, alias.name)
     for node in ast.walk(tree):
         chain, value = [], node
         while isinstance(value, ast.Attribute):
             chain.append(value.attr)
             value = value.value
         if chain and isinstance(value, ast.Name) and value.id in modules:
-            reads.add((modules[value.id], ".".join(reversed(chain))))
-    return reads
+            uses[node] = (modules[value.id], ".".join(reversed(chain)))
+        elif isinstance(value, ast.Name) and value.id in imported:
+            module, name = imported[value.id]
+            uses[node] = (module, ".".join([name, *reversed(chain)]))
+    return uses
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_traced_paths_resolve():
@@ -63,15 +73,34 @@ def test_traced_paths_resolve():
 
 
 def test_names_read_by_workloads_exist():
-    reads = _mamimo_reads(BENCH / "workloads.py")
+    reads = set(_mamimo_uses(_parse(BENCH / "workloads.py")).values())
     assert reads
     assert not _missing(reads), "bench/workloads.py reads names mamimo no longer has"
+
+
+def test_calls_by_workloads_bind_to_the_signatures():
+    # the count of positional arguments and the keyword names of each call
+    tree = _parse(BENCH / "workloads.py")
+    uses = _mamimo_uses(tree)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and node.func in uses]
+    assert calls
+    unbound = []
+    for call in calls:
+        module, dotted = uses[call.func]
+        obj = functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+        positional = sum(not isinstance(arg, ast.Starred) for arg in call.args)
+        keywords = dict.fromkeys(kw.arg for kw in call.keywords if kw.arg is not None)
+        try:
+            inspect.signature(obj).bind_partial(*[None] * positional, **keywords)
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {module}.{dotted}: {exc}")
+    assert not unbound, f"bench/workloads.py passes arguments mamimo no longer takes: {unbound}"
 
 
 def test_instance_attributes_read_by_bench_exist():
     # the AST guard above cannot see attributes of returned objects; these are
     # the ones bench/workloads.py and bench/tracing.py read, on tiny objects
-    ura, radio = geometry.build_topology("ura", ura_shape=(2, 2)), RadioConfig()
+    ura, radio = small_ura(), RadioConfig()
     grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0), x_extent_mm=5.0,
                       y_extent_mm=0.0, resolution_mm=5.0)
     plan = campaign.plan_traversal(grid)

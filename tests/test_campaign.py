@@ -272,6 +272,18 @@ class TestCaptureService:
             assert (service.captures, service.rejects) == (1, 0)
         assert [p.name for p in tmp_path.iterdir()] == ["000001.bin"]
 
+    def test_stray_clients_that_stay_connected_do_not_stall_a_trigger(self, tmp_path,
+                                                                       fixed_source):
+        # served one at a time, each stray is dropped after TIMEOUT_S / 5 of silence
+        with CaptureService(tmp_path, fixed_source) as service, \
+                socket.create_connection(service.address), \
+                socket.create_connection(service.address) as short:
+            short.sendall(b"000")
+            t0 = time.monotonic()
+            assert trigger_capture(service.address, "000001") == TriggerResult.ACK
+            assert time.monotonic() - t0 < campaign.TIMEOUT_S
+            assert (service.captures, service.rejects) == (1, 0)
+
     def test_rejects_count_charset_source_and_write_failures(self, tmp_path, fixed_source):
         def source(sample_id):
             if sample_id == "000001":
@@ -292,9 +304,10 @@ class TestCaptureService:
 
     def test_connection_refused_on_closed_port(self):
         with pytest.raises(OSError):
-            trigger_capture(_closed_port(), "000000", timeout=2.0)
+            trigger_capture(_closed_port(), "000000")
 
-    def test_timeout_when_server_never_replies(self, tmp_path):
+    def test_timeout_when_server_never_replies(self, monkeypatch):
+        monkeypatch.setattr(campaign, "TIMEOUT_S", 0.3)
         listener = socket.create_server(("127.0.0.1", 0))
         done = threading.Event()
 
@@ -307,7 +320,7 @@ class TestCaptureService:
         thread = threading.Thread(target=mute_server, daemon=True)
         thread.start()
         try:
-            result = trigger_capture(listener.getsockname(), "000000", timeout=0.3)
+            result = trigger_capture(listener.getsockname(), "000000")
             assert result == TriggerResult.TIMEOUT
         finally:
             done.set()

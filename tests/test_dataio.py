@@ -16,7 +16,6 @@ from mamimo.dataio import (
     VersionMismatchError,
     iter_samples,
     load_index,
-    parse_config_text,
     radio_config_from_mapping,
     read_sample,
     sample_file_size,
@@ -225,13 +224,20 @@ class TestIndex:
 
 
 class TestConfigText:
-    def test_parse_key_value(self):
-        values = parse_config_text("# comment\ncarrier_hz = 3.5e9\n\nkind = ula # inline\n")
-        assert values == {"carrier_hz": "3.5e9", "kind": "ula"}
+    def test_parse_key_value(self, tmp_path):
+        # text after a second '#', empty comments and blank lines are ignored
+        path = tmp_path / "index.csv"
+        path.write_text("#\n# # a note = ignored\n\n# carrier_hz = 3.5e9\n\n"
+                        "  # topology = ula # inline\nsample_id,user_id,x_mm,y_mm,z_mm\n")
+        loaded = load_index(path)
+        assert loaded.radio == RadioConfig(carrier_hz=3.5e9)
+        assert loaded.topology == "ula"
 
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("no equals sign here")
+    def test_malformed_line_rejected(self, tmp_path):
+        path = tmp_path / "index.csv"
+        path.write_text("# topology = ura\n\n# free text here\nsample_id,user_id,x_mm,y_mm,z_mm\n")
+        with pytest.raises(IndexFormatError, match=r"index\.csv:3: expected '# key = value'"):
+            load_index(path)
 
     def test_radio_from_mapping(self):
         # an old index.csv still carries the deleted link-budget fields; they are skipped

@@ -15,7 +15,6 @@ from mamimo.dsp import (
     power_map,
     power_map_to_csv,
     power_map_to_pgm,
-    received_power,
     zf_weights,
 )
 from mamimo.geometry import grid_positions
@@ -147,36 +146,30 @@ class TestZfWeights:
             zf_weights(H)
 
 
+def received_power(g, h, power):
+    """P |g_f^T w_f|^2 per subcarrier at channel g, for MRT weights matched to h."""
+    return power * np.abs(np.einsum("mf,mf->f", g, mrt_weights(h).w[0])) ** 2
+
+
 class TestReceivedPower:
     def test_matched_channel_gets_full_array_gain(self, rng):
         h = random_channel(rng, 16, 8)
-        weights = mrt_weights(h)
-        budget = LinkBudget(total_tx_power=2.0, noise_power=1e-3)
-        per_sc, total = received_power(h, weights, budget)
+        per_sc = received_power(h, h, 2.0)
         expected = 2.0 * np.linalg.norm(h, axis=0) ** 2
         assert np.allclose(per_sc, expected, rtol=1e-12)
-        assert total == pytest.approx(np.mean(expected), rel=1e-12)
 
     def test_orthogonal_channel_gets_nothing(self):
         h = np.zeros((2, 3), dtype=complex)
         h[0] = 1.0
         g = np.zeros((2, 3), dtype=complex)
         g[1] = 1.0
-        per_sc, total = received_power(g, mrt_weights(h), LinkBudget())
-        assert np.all(per_sc == 0.0) and total == 0.0
+        assert np.all(received_power(g, h, 1.0) == 0.0)
 
     def test_two_antenna_hand_case(self):
         h = np.array([[1.0], [1.0j]])
         g = np.array([[2.0], [1.0]])
-        per_sc, total = received_power(g, mrt_weights(h), LinkBudget(1.0, 1.0))
         # w = conj(h)/sqrt(2); g^T w = (2 - 1j)/sqrt(2); |.|^2 = 5/2
-        assert per_sc[0] == pytest.approx(2.5, rel=1e-12)
-        assert total == pytest.approx(2.5, rel=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        h = random_channel(rng, 4, 2)
-        with pytest.raises(ValueError):
-            received_power(random_channel(rng, 4, 3), mrt_weights(h), LinkBudget())
+        assert received_power(g, h, 1.0)[0] == pytest.approx(2.5, rel=1e-12)
 
 
 def make_map_inputs(fast_radio, geometry, target_offset=(130.0, 0.0)):
@@ -243,6 +236,12 @@ class TestPowerMap:
         grid, target, samples = make_map_inputs(fast_radio, ura)
         with pytest.raises(ValueError):
             power_map(grid, samples[:-1], target)
+
+    def test_sample_shape_mismatch(self, fast_radio, ura):
+        grid, target, samples = make_map_inputs(fast_radio, ura)
+        samples[3] = CsiSample(samples[3].h[:, :-1], label=samples[3].label)
+        with pytest.raises(ValueError, match="sample 3 shape"):
+            power_map(grid, samples, target)
 
     def test_pgm_and_csv_export(self, fast_radio, ura, tmp_path):
         grid, target, samples = make_map_inputs(fast_radio, ura)

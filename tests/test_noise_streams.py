@@ -11,8 +11,9 @@ import pytest
 from mamimo import campaign
 from mamimo import channel as chan
 from mamimo.cli import main
-from mamimo.geometry import build_topology
 from mamimo.model import Position3, RadioConfig, SampleGrid
+
+from conftest import small_ura
 
 
 def _state(seed):
@@ -47,7 +48,7 @@ def _campaign(tmp_path, seed, **kwargs):
     grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                       x_extent_mm=10.0, y_extent_mm=0.0, resolution_mm=5.0)
     plan = campaign.plan_traversal(grid)
-    campaign.simulate_campaign(plan, build_topology("ura", ura_shape=(2, 2)),
+    campaign.simulate_campaign(plan, small_ura(),
                                RadioConfig(total_subcarriers=48, pilot_count=4),
                                tmp_path / f"run{seed}", snr_db=20.0, seed=seed, **kwargs)
 
