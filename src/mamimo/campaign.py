@@ -22,6 +22,7 @@ import itertools
 import re
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -196,7 +197,6 @@ class _TcpServer:
 
     def __init__(self, address):
         self._listener = socket.create_server(address)
-        self._listener.settimeout(0.05)
         self.address = self._listener.getsockname()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -205,10 +205,8 @@ class _TcpServer:
         while not self._stop.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break
+                break  # stop() shut the listener down
             self._handle(conn)
 
     def start(self):
@@ -218,8 +216,10 @@ class _TcpServer:
 
     def stop(self):
         self._stop.set()
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept() on Linux
         if self._thread is not None:
-            self._thread.join()
+            self._thread.join(TIMEOUT_S)
         self._listener.close()
 
     def __enter__(self):
@@ -283,8 +283,9 @@ class CaptureService(_TcpServer):
     one ACK byte (0x06). The source decides from the id alone which sample
     that is, and raises for an id it cannot pair with a position; any
     failure replies NAK (0x15) and leaves no file behind. Connections are
-    handled strictly one at a time, in arrival order, so a client that falls
-    silent for ``TIMEOUT_S / 5`` before its sixth byte is dropped unanswered.
+    handled strictly one at a time, in arrival order, so a client that has not
+    sent its six bytes ``TIMEOUT_S / 5`` after it was accepted is dropped
+    unanswered, however it spaces them.
     """
 
     def __init__(self, out_dir, channel_source, address=("127.0.0.1", 0)):
@@ -295,14 +296,17 @@ class CaptureService(_TcpServer):
         self.rejects = 0
 
     def _handle(self, conn: socket.socket):
-        conn.settimeout(TIMEOUT_S / 5)
-        with conn, conn.makefile("rb") as stream:
+        deadline = time.monotonic() + TIMEOUT_S / 5
+        payload = b""
+        with conn:
             try:
-                payload = stream.read(6)
+                while len(payload) < 6:
+                    conn.settimeout(max(deadline - time.monotonic(), 1e-6))
+                    if not (chunk := conn.recv(6 - len(payload))):
+                        return  # client went away mid-payload
+                    payload += chunk
             except OSError:
                 return
-            if len(payload) < 6:
-                return  # client went away mid-payload
             try:
                 text = payload.decode("ascii")
                 if not SAMPLE_ID_PATTERN.fullmatch(text):

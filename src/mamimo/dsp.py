@@ -155,7 +155,7 @@ def power_map(grid: SampleGrid, samples, target: CsiSample,
             raise ValueError(f"more samples than the {grid.node_count} grid nodes")
         if sample.h.shape != target.h.shape:
             raise ValueError(f"sample {i} shape {sample.h.shape} does not match target")
-        values[i] = np.mean(p * np.abs(np.einsum("mf,mf->f", sample.h, w)) ** 2)
+        values[i] = np.mean(p * np.abs((sample.h * w).sum(axis=0)) ** 2)
         count += 1
     if count != grid.node_count:
         raise ValueError(f"got {count} samples for {grid.node_count} grid nodes")

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import socket
 import threading
@@ -33,6 +34,18 @@ from mamimo.model import Position3, Positions, SampleGrid, Traversal
 # an unclosed socket or socket file fails the test instead of passing silently
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning",
                                         "error::pytest.PytestUnraisableExceptionWarning")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """A server whose stop() did not end its accept loop fails the test that started it."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    for thread in left:
+        thread.join(0.5)
+    alive = [t.name for t in left if t.is_alive()]
+    assert not alive, f"threads still running after the test: {alive}"
 
 
 @pytest.fixture()
@@ -284,6 +297,30 @@ class TestCaptureService:
             assert time.monotonic() - t0 < campaign.TIMEOUT_S
             assert (service.captures, service.rejects) == (1, 0)
 
+    def test_a_trickling_client_is_dropped_at_one_deadline(self, tmp_path, fixed_source):
+        # one byte every 0.4 s never lets a single receive wait TIMEOUT_S / 5 = 1 s
+        done = threading.Event()
+        with CaptureService(tmp_path, fixed_source) as service, \
+                socket.create_connection(service.address) as stray:
+            t0 = time.monotonic()
+
+            def trickle():
+                for _ in range(5):
+                    with contextlib.suppress(OSError):
+                        stray.sendall(b"0")
+                    if done.wait(0.4):
+                        return
+
+            thread = threading.Thread(target=trickle)
+            thread.start()
+            try:
+                assert trigger_capture(service.address, "000001") == TriggerResult.ACK
+                assert time.monotonic() - t0 < 1.8
+            finally:
+                done.set()
+                thread.join()
+            assert (service.captures, service.rejects) == (1, 0)
+
     def test_rejects_count_charset_source_and_write_failures(self, tmp_path, fixed_source):
         def source(sample_id):
             if sample_id == "000001":
@@ -492,6 +529,12 @@ class TestCapturePairing:
 
 
 class TestPositionerOverTcp:
+    def test_stop_wakes_the_accept_loop(self):
+        t0 = time.monotonic()
+        for _ in range(10):
+            PositionerServer(VirtualPositioner()).start().stop()
+        assert time.monotonic() - t0 < 0.2
+
     def test_protocol_roundtrip(self):
         table = VirtualPositioner()
         with PositionerServer(table) as server:

@@ -161,6 +161,16 @@ class TestMultipathChannel:
         los = los_channel(ura_small, user, fast_radio)
         assert np.allclose(scattered_only.h, full.h - los.h, atol=1e-18)
 
+    @pytest.mark.parametrize("user, point, message", [
+        (Position3(0.0, 0.0, 0.0), Position3(500.0, 1500.0, 0.0), "user position coincides"),
+        (Position3(0.0, 2000.0, 0.0), Position3(0.0, 0.0, 0.0), "scatterer coincides"),
+        (Position3(0.0, 2000.0, 0.0), Position3(0.0, 2000.0, 0.0), "scatterer coincides"),
+    ], ids=["user-on-element", "scatterer-on-element", "scatterer-on-user"])
+    def test_coincident_points_rejected(self, radio, user, point, message):
+        with pytest.raises(ValueError, match=message):
+            multipath_channel(single_element(), user, radio, ChannelConfig(),
+                              [Scatterer(point, 0.5)])
+
     def test_reflection_magnitude_capped(self):
         with pytest.raises(ValueError):
             Scatterer(Position3(0, 0, 0), 1.5 + 0j)
@@ -199,6 +209,30 @@ def closed_form_channel(geom, user, radio, user_id, include_los, scatterers):
     return h
 
 
+def extended_precision_channel(geom, user, radio, user_id, include_los, scatterers):
+    """The closed form in np.longdouble (80-bit on x86), one direct exp per entry."""
+    ld = np.longdouble
+    c, pi = ld(299_792_458), 4 * np.arctan(ld(1))
+    k = np.arange(radio.pilot_count)
+    f = ld(radio.carrier_hz) + (radio.interleave_factor * k + user_id
+                                - radio.total_subcarriers // 2).astype(ld) * ld(radio.subcarrier_spacing_hz)
+    elems = geom.positions_mm.astype(ld) / 1000
+    u = np.array([user.x, user.y, user.z], dtype=ld) / 1000
+
+    def path(d):  # (M,) path lengths in metres -> (M, F)
+        phase = -2 * pi * np.outer(d, f) / c
+        return (c / f)[None, :] / (4 * pi * d[:, None]) * (np.cos(phase) + 1j * np.sin(phase))
+
+    h = np.zeros((len(elems), len(f)), dtype=np.clongdouble)
+    if include_los:
+        h += path(np.sqrt(((u - elems) ** 2).sum(axis=1)))
+    for sc in scatterers:
+        s = np.array([sc.position.x, sc.position.y, sc.position.z], dtype=ld) / 1000
+        d1 = np.sqrt(((s - elems) ** 2).sum(axis=1))
+        h += np.clongdouble(sc.reflection) * path(d1 + np.sqrt(((u - s) ** 2).sum()))
+    return h
+
+
 class TestFieldKernel:
     """The factored-phase kernel against the closed form, on the cases where a
     coarse x fine split of the pilots could go wrong."""
@@ -222,6 +256,34 @@ class TestFieldKernel:
         ref = closed_form_channel(geom, user, radio, user_id, include_los, scatterers)
         assert sample.h.shape == (geom.n_elements, radio.pilot_count)
         assert np.max(np.abs(sample.h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["ura", "ula", "da"])
+    @pytest.mark.parametrize("pilots", [100, 50])  # 50 is not a square: 8 x 7 factors, trimmed
+    @pytest.mark.parametrize("users, bound", [
+        ([Position3(100.0, 800.0, 1050.0), Position3(240.0, 2000.0, 1130.0),
+          Position3(-410.0, 1500.0, 620.0), Position3(300.0, 2900.0, 1400.0)], 1e-13),
+        ([Position3(300.0, 30_000.0, 1000.0), Position3(-2500.0, 40_000.0, 1800.0),
+          Position3(1200.0, 50_000.0, 600.0)], 3e-12),
+    ], ids=["near", "far"])
+    def test_within_rounding_of_an_extended_precision_reference(self, kind, pilots, users,
+                                                                 bound):
+        # a phase rounds to about eps * 2 pi f d / c, so the bound grows with the path:
+        # the scatterers stand in the user area, near paths stay within about 5 m
+        radio = RadioConfig(total_subcarriers=12 * pilots, pilot_count=pilots)
+        geom = build_topology(kind)
+        room = [Scatterer(Position3(-300.0, 2300.0, 1500.0), 0.6 - 0.2j),
+                Scatterer(Position3(500.0, 1700.0, 700.0), -0.3 + 0.45j),
+                Scatterer(Position3(100.0, 2600.0, 1900.0), 0.35 + 0.3j)]
+        for i, user in enumerate(users):
+            for include_los, n_scatterers in [(True, 0), (True, 1), (True, 3), (False, 1),
+                                              (False, 2), (False, 3)]:
+                user_id = (5 * i + n_scatterers) % radio.interleave_factor
+                sample = multipath_channel(geom, user, radio, ChannelConfig(include_los),
+                                           room[:n_scatterers], user_id=user_id)
+                ref = extended_precision_channel(geom, user, radio, user_id, include_los,
+                                                 room[:n_scatterers])
+                err = np.abs(sample.h.astype(np.clongdouble) - ref)
+                assert float(err.max()) <= bound * float(np.abs(ref).max())
 
     def test_one_multipath_call_per_sample(self, monkeypatch, fast_radio, ura_small):
         # bench --trace 1 counts channel.synth_ms and channel.paths per call of
