@@ -3,8 +3,9 @@
 A fingerprint database maps deterministic CSI feature vectors to the
 positions they were recorded at; a query CSI is located by averaging the
 labels of its nearest fingerprints, which one blocked kernel finds for a
-single query, a batch or a leave-one-out pass alike. The interface is
-minimal (CSI in, position out) so a learned model can replace the matcher.
+single query, a batch or a leave-one-out pass alike (which screens in float32
+and re-ranks in float64). The interface is minimal (CSI in, position out) so a
+learned model can replace the matcher.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class FingerprintDb:
         if not (np.isfinite(features).all() and np.isfinite(labels_mm).all()):
             raise ValueError("features and labels must be finite")
         sqnorms = np.einsum("nd,nd->n", features, features)
+        _check_sqnorms(sqnorms, "features")
         features.flags.writeable = labels_mm.flags.writeable = sqnorms.flags.writeable = False
         self.features, self.sqnorms = features, sqnorms
         self.labels_mm = labels_mm
@@ -95,48 +97,96 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
     return FingerprintDb(features, labels_mm, cfg, topology)
 
 
-# Distances per query block (64 MiB; a 2,601-node leave-one-out is one block, which
-# numpy multiplies by its own transpose) and features per 2 MiB re-rank gather.
-_BLOCK_ELEMENTS, _GATHER_ELEMENTS = 1 << 23, 1 << 18
+# Distances per query block (64 MiB; a 2,601-node leave-one-out is one block),
+# features per 2 MiB re-rank gather, and features per float32 screening chunk.
+_BLOCK_ELEMENTS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 23, 1 << 18, 2048
+_U32, _TINY32 = 2.0 ** -24, float(np.finfo(np.float32).tiny)
 
 
-def _nearest(db: FingerprintDb, q: np.ndarray, k: int, exclude_self: bool = False):
+def _check_sqnorms(sqnorms: np.ndarray, what: str) -> None:
+    if not np.isfinite(4.0 * sqnorms.max(initial=0.0)):
+        raise ValueError(f"{what} too large: 4 |x|^2 must be finite")
+
+
+def _nearest(db: FingerprintDb, q: np.ndarray | None, k: int):
     """(B, k) indices and distances of the k nearest fingerprints to each (B, D)
-    query row; ``exclude_self`` keeps database row i off query row i. Candidates
-    lie within four rounding bounds gamma_{D+2} (max|x| + |q|)^2 of the k-th
-    smallest expanded |x|^2 - 2 q.x + |q|^2, which no true or direct-form
-    neighbour exceeds (gamma_n = n eps / (1 - n eps)). The direct
-    ``norm(x - q)`` re-ranks them stably: ties go to the lower database index.
+    query row; ``q=None`` is leave-one-out, each row never matching itself.
+    Candidates lie within four rounding bounds gamma_{D+2} (max|x| + |q|)^2 of
+    the k-th smallest expanded |x|^2 - 2 q.x + |q|^2, which no true or
+    direct-form neighbour exceeds (gamma_n = n eps / (1 - n eps)). Leave-one-out
+    sums q.x in float32 over L-feature chunks scaled by a power of two to row
+    norms below 1, adding 4 alpha max|x| |q| (alpha = gamma_m(u) (1 + u)^2 + 2u
+    + u^2, u = 2^-24, m = L + ceil(D / L)) and, for underflow, four times
+    8 D tiny32 per scaled product. Queries keep float64: one is a memory-bound
+    pass that a cast would double. The direct ``norm(x - q)`` re-ranks stably,
+    each leave-one-out pair once: ties go to the lower database index.
     """
-    x = db.features
+    x, self_join = db.features, q is None
+    q = x if self_join else q
     n, dim = x.shape
-    if not 1 <= k <= n - exclude_self or q.shape[1] != dim:
-        raise ValueError(f"need k in [1, {n - exclude_self}] and {dim} query features, "
+    if not 1 <= k <= n - self_join or q.shape[1] != dim:
+        raise ValueError(f"need k in [1, {n - self_join}] and {dim} query features, "
                          f"got k={k} and {q.shape[1]}")
-    sqx, sqq = db.sqnorms, db.sqnorms if q is x else np.einsum("bd,bd->b", q, q)
-    u = (dim + 2) * np.finfo(np.float64).eps
-    margin = 4.0 * u / (1.0 - u) * (np.sqrt(sqx.max()) + np.sqrt(sqq)) ** 2
-    rows, pairs = max(1, _BLOCK_ELEMENTS // n), max(1, _GATHER_ELEMENTS // dim)
-    idx, dist = np.empty((len(q), k), dtype=np.intp), np.empty((len(q), k))
+    sqx, sqq = db.sqnorms, db.sqnorms if self_join else np.einsum("bd,bd->b", q, q)
+    _check_sqnorms(sqq, "query features")
+    top, u = np.sqrt(sqx.max()), (dim + 2) * np.finfo(np.float64).eps
+    margin = 4.0 * u / (1.0 - u) * (top + np.sqrt(sqq)) ** 2
+    rows = max(1, min(_BLOCK_ELEMENTS // n, len(q)))
+    factor = -2.0
+    if self_join:
+        width = max(1, min(_SCREEN_FEATURES, _BLOCK_ELEMENTS // n))
+        m = width + -(-dim // width)
+        alpha = m * _U32 / (1.0 - m * _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2
+        e = int(np.frexp(top)[1])  # x * 2^-e has row norms below 1, exactly
+        margin += 4.0 * alpha * top * np.sqrt(sqq) + np.ldexp(32.0 * dim * _TINY32, 2 * e)
+        scale, factor = np.ldexp(1.0, -e), np.ldexp(-2.0, 2 * e)
+        cast = np.empty(n * width, dtype=np.float32)
+        gram, part = np.empty((2, rows, n), dtype=np.float32)  # the block's sum and one chunk's
+    d2, ranked = np.empty((2, min(64, rows), n))  # thresholded 64 rows at a time
+    r, c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for s in range(0, len(q), rows):
-        qb = q[s:s + rows]
-        d2 = qb @ x.T  # then -2 q.x + |x|^2 + |q|^2 in place: one block, no temporaries
-        d2 *= -2.0
-        d2 += sqx
-        d2 += sqq[s:s + rows, None]
-        if exclude_self:
-            d2[np.arange(len(qb)), np.arange(s, s + len(qb))] = np.inf
-        # in row chunks, copying each column: a view would keep its chunk's partitioned copy
-        kth = np.concatenate([np.partition(d2[i:i + 64], k - 1, axis=1)[:, k - 1].copy()
-                              for i in range(0, len(qb), 64)])
-        r, c = np.nonzero(d2 <= (kth + margin[s:s + rows])[:, None])  # row-major: c ascends
-        del d2  # the re-rank reads only the candidates
-        exact = np.concatenate([np.linalg.norm(x[c[p:p + pairs]] - qb[r[p:p + pairs]], axis=1)
-                                for p in range(0, len(c), pairs)])
-        first = np.searchsorted(r, np.arange(len(qb)))
-        take = np.lexsort((exact, r))[first[:, None] + np.arange(k)]
-        idx[s:s + rows], dist[s:s + rows] = c[take], exact[take]
-    return idx, dist
+        b = min(rows, len(q) - s)
+        if self_join:
+            for f in range(0, dim, width):
+                y = cast[:n * min(width, dim - f)].reshape(n, -1)
+                np.multiply(x[:, f:f + width], scale, out=y)
+                np.matmul(y[s:s + b], y.T, out=(part if f else gram)[:b])  # syrk if one block
+                if f:
+                    gram[:b] += part[:b]
+            g = gram[:b]
+        else:
+            g = q[s:s + b] @ x.T
+        for i in range(s, s + b, 64):
+            t = d2[:min(64, s + b - i)]  # -2 q.x + |x|^2 + |q|^2 in float64
+            np.multiply(g[i - s:i - s + len(t)], factor, out=t, dtype=np.float64)
+            t += sqx
+            t += sqq[i:i + len(t), None]
+            if self_join:
+                t[np.arange(len(t)), np.arange(i, i + len(t))] = np.inf
+            np.copyto(ranked[:len(t)], t)
+            ranked[:len(t)].partition(k - 1, axis=1)
+            rt, ct = np.nonzero(t <= (ranked[:len(t), k - 1] + margin[i:i + len(t)])[:, None])
+            r.append(rt + i)
+            c.append(ct)  # row-major: c ascends within a row
+    r, c = np.concatenate(r), np.concatenate(c)
+    qr, xc = r, c  # re-rank norm(x[xc] - q[qr]), qr ascending
+    if self_join:  # |x_i - x_j| and |x_j - x_i| have the same bits: measure each pair once
+        pair, inverse = np.unique(np.minimum(r, c) * n + np.maximum(r, c), return_inverse=True)
+        qr, xc = np.divmod(pair, n)
+    pairs = max(1, _GATHER_ELEMENTS // dim)
+    exact, gather = np.empty(len(xc)), np.empty((min(pairs, len(xc)), dim))
+    for p in range(0, len(xc), pairs):  # each query row broadcast against its candidates
+        rp = qr[p:p + pairs]
+        diff = np.take(x, xc[p:p + pairs], axis=0, out=gather[:len(rp)], mode="clip")
+        starts = np.flatnonzero(np.diff(rp, prepend=-1)).tolist()
+        for a, z in zip(starts, starts[1:] + [len(rp)]):
+            diff[a:z] -= q[rp[a]]
+        np.multiply(diff, diff, out=diff)  # then np.linalg.norm's own sqrt(sum), in place
+        np.sqrt(np.add.reduce(diff, axis=1), out=exact[p:p + len(rp)])
+    exact = exact[inverse] if self_join else exact
+    first = np.searchsorted(r, np.arange(len(q)))
+    take = np.lexsort((exact, r))[first[:, None] + np.arange(k)]
+    return c[take], exact[take]
 
 
 def _weighted_label_mean(db: FingerprintDb, idx, dists) -> np.ndarray:
@@ -197,7 +247,7 @@ def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> Localizat
 def leave_one_out_report(db: FingerprintDb, k: int = 4) -> LocalizationReport:
     """Locate every fingerprint as a query that may not match itself, which equals
     querying a database with that row removed; ties still go by database order."""
-    est = _weighted_label_mean(db, *_nearest(db, db.features, k, exclude_self=True))
+    est = _weighted_label_mean(db, *_nearest(db, None, k))
     return LocalizationReport.from_errors(np.linalg.norm(est - db.labels_mm, axis=1))
 
 

@@ -294,6 +294,7 @@ def test_criterion_10_cli_determinism(tmp_path):
          "--extent-mm", "100", "--resolution-mm", "25", "--seed", "5"],
         ["locate", "--extent-mm", "20", "--resolution-mm", "10",
          "--query-snr-db", "20", "--seed", "21"],
+        ["locate", "--extent-mm", "20", "--resolution-mm", "10", "--loo", "--seed", "21"],
     ]
     for i, args in enumerate(runs):
         outputs = []

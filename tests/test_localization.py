@@ -255,7 +255,62 @@ def direct_estimate(db, query, k):
     return (db.labels_mm[nearest] * w[:, None]).sum(axis=0) / w.sum()
 
 
+def direct_nearest(x, q, k):
+    """Indices and distances of the k nearest rows of ``x`` to each query row by a
+    direct norm over all rows, stably sorted; ``q=None`` leaves each row out of
+    its own list."""
+    idx, dist = [], []
+    for i, row in enumerate(x if q is None else q):
+        d = np.linalg.norm(x - row, axis=1)
+        if q is None:
+            d[i] = np.inf
+        order = np.argsort(d, kind="stable")[:k]
+        idx.append(order)
+        dist.append(d[order])
+    return np.array(idx), np.array(dist)
+
+
+def float32_hard_features(case, radio, geometry):
+    """Feature matrices on which a float32 Gram alone misranks neighbours."""
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((5, 24))
+    near = [base + scale * rng.standard_normal(base.shape) for scale in (1e-9, 3e-9)]
+    rows = np.concatenate([base, *near, base[:3]])  # the last three tie exactly
+    rows = rows[rng.permutation(len(rows))]
+    if case == "near_and_exact_duplicates":
+        return rows
+    if case in ("scaled_2^100", "scaled_2^-100"):
+        return rows * 2.0 ** (100 if case == "scaled_2^100" else -100)
+    grid = SampleGrid(origin=Position3(-5, 1500, 1000), x_extent_mm=10,
+                      y_extent_mm=10, resolution_mm=1)  # 1 mm LoS grid
+    return build_fingerprints(grid_samples(geometry, radio, grid)).features
+
+
 class TestNeighbourKernel:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("case", ["near_and_exact_duplicates", "scaled_2^100",
+                                      "scaled_2^-100", "los_grid_1mm"])
+    def test_float32_screen_matches_direct_argsort_bit_for_bit(self, case, k, fast_radio, ura):
+        x = float32_hard_features(case, fast_radio, ura)
+        db = FingerprintDb(x, np.zeros((len(x), 3)), FeatureConfig())
+        q = x[::3] + 1e-10 * np.abs(x).max() * np.random.default_rng(4).standard_normal(x[::3].shape)
+        for queries in (None, q):
+            idx, dist = localization._nearest(db, queries, k)
+            expected_idx, expected_dist = direct_nearest(x, queries, k)
+            assert np.array_equal(idx, expected_idx)
+            assert np.array_equal(dist, expected_dist)
+
+    def test_squared_norm_overflow_rejected(self):
+        x = np.random.default_rng(3).standard_normal((6, 8))
+        with pytest.raises(ValueError, match="too large"):
+            FingerprintDb(1e160 * x, np.zeros((6, 3)), FeatureConfig())
+        db = FingerprintDb(1e150 * x, np.zeros((6, 3)), FeatureConfig())
+        assert np.array_equal(localization._nearest(db, None, 2)[0],
+                              direct_nearest(db.features, None, 2)[0])
+        with pytest.raises(ValueError, match="too large"):
+            localization._nearest(FingerprintDb(x, np.zeros((6, 3)), FeatureConfig()),
+                                  1e160 * x[:1], 1)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_near_duplicate_ranking_matches_direct_argsort(self, k):
         rng = np.random.default_rng(11)
@@ -305,6 +360,8 @@ class TestNeighbourKernel:
         dim = db.features.shape[1]
         monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", 7 * len(db))  # 7-row blocks
         monkeypatch.setattr(localization, "_GATHER_ELEMENTS", 2 * dim)  # 2-pair gathers
+        monkeypatch.setattr(localization, "_SCREEN_FEATURES", 3)  # last chunk ragged
+        assert dim % 3
         assert np.array_equal(leave_one_out_report(db, k=3).errors_mm, whole[0])
         assert np.array_equal(evaluate_localizer(db, queries, k=3).errors_mm, whole[1])
 
