@@ -2,10 +2,14 @@
 
 A fingerprint database maps deterministic CSI feature vectors to the
 positions they were recorded at; a query CSI is located by averaging the
-labels of its nearest fingerprints, which one blocked kernel finds for a
-single query, a batch or a leave-one-out pass alike (which screens in float32
-and re-ranks in float64). The interface is minimal (CSI in, position out) so a
-learned model can replace the matcher.
+labels of its nearest fingerprints. The database stores each sample's I/Q as
+one row scaled by a power of two, with a float64 row norm: float32 rows for
+samples read from CSI1 files (half the bytes of their float64 features, which
+the rows rebuild bit for bit), float64 rows for in-memory complex128 samples.
+One blocked kernel finds the neighbours for a single query, a batch or a
+leave-one-out pass alike: it screens with a product in the store's precision
+and re-ranks the candidates on rebuilt float64 rows. The interface is minimal
+(CSI in, position out) so a learned model can replace the matcher.
 """
 
 from __future__ import annotations
@@ -47,26 +51,38 @@ def extract_features(csi: CsiSample) -> np.ndarray:
 
 
 class FingerprintDb:
-    """Feature vectors with their recording positions, in insertion order.
+    """Stored fingerprints with their recording positions, in insertion order.
 
-    The database takes ownership of its arrays: C-contiguous float64 input
-    is kept as it is, not copied, and locked read-only; ``sqnorms`` holds
-    the rows' squared norms that every query reads.
+    Row i of ``features`` (N, D) is a sample's [Re h, Im h] scaled by the power
+    of two 2^-e that puts ``norms[i]`` = |h| 2^-e in [0.5, 1); feature i is
+    ``features[i].astype(np.float64) / norms[i]``, which is extract_features
+    bit for bit for any sample in a float64 store and for a complex64 sample,
+    as a CSI1 file holds, in a float32 store. The database takes ownership of
+    its arrays: C-contiguous float32 or float64 features and float64 norms and
+    labels are kept, not copied, and locked read-only; ``sqnorms`` holds the
+    features' squared norms that every query reads.
     """
 
-    def __init__(self, features, labels_mm, config: FeatureConfig, topology: str = ""):
-        features = np.ascontiguousarray(features, dtype=np.float64)
+    def __init__(self, features, norms, labels_mm, config: FeatureConfig, topology: str = ""):
+        features = np.ascontiguousarray(features)
+        if features.dtype != np.float32:
+            features = features.astype(np.float64, copy=False)
+        norms = np.ascontiguousarray(norms, dtype=np.float64)
         labels_mm = np.ascontiguousarray(labels_mm, dtype=np.float64)
-        if features.ndim != 2 or labels_mm.ndim != 2 or labels_mm.shape[1] != 3:
-            raise ValueError("features must be (N, D) and labels (N, 3)")
-        if features.shape[0] != labels_mm.shape[0]:
-            raise ValueError("features and labels must have equal length")
-        if not (np.isfinite(features).all() and np.isfinite(labels_mm).all()):
-            raise ValueError("features and labels must be finite")
-        sqnorms = np.einsum("nd,nd->n", features, features)
-        _check_sqnorms(sqnorms, "features")
-        features.flags.writeable = labels_mm.flags.writeable = sqnorms.flags.writeable = False
-        self.features, self.sqnorms = features, sqnorms
+        if features.ndim != 2 or norms.shape != features.shape[:1] \
+                or labels_mm.shape != (len(norms), 3):
+            raise ValueError("features must be (N, D), norms (N,) and labels (N, 3)")
+        if not np.isfinite(labels_mm).all():
+            raise ValueError("labels must be finite")
+        if not np.all((0.5 <= norms) & (norms < 1.0)):
+            raise ValueError("norms must lie in [0.5, 1)")
+        rows = np.einsum("nd,nd->n", features, features, dtype=np.float64)
+        if not rows.max(initial=0.0) < 4.0:  # also false for inf or NaN
+            raise ValueError("stored feature rows must be finite with norms below 2")
+        sqnorms = rows / norms ** 2
+        for a in (features, norms, labels_mm, sqnorms):
+            a.flags.writeable = False
+        self.features, self.norms, self.sqnorms = features, norms, sqnorms
         self.labels_mm = labels_mm
         self.config = config
         self.topology = topology
@@ -75,90 +91,117 @@ class FingerprintDb:
         return self.features.shape[0]
 
 
+def _labelled(samples, labels: list, ids: list):
+    """The samples, each one's label and id appended to ``labels`` and ``ids``."""
+    for sample in samples:
+        if sample.label is None:
+            raise ValueError(f"sample {sample.sample_id!r} has no position label")
+        labels.append(sample.label.as_array())
+        ids.append(sample.sample_id)
+        yield sample
+
+
 def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
                        topology: str = "") -> FingerprintDb:
-    """Build a database from labelled samples, streaming each row into one matrix."""
-    labels = []
-
-    def rows():
-        for sample in samples:
-            if sample.label is None:
-                raise ValueError(f"sample {sample.sample_id!r} has no position label")
-            labels.append(sample.label.as_array())
-            yield extract_features(sample)
-
-    it = rows()
+    """Build a database from labelled samples, streaming each stored row into one
+    matrix. The first sample picks the store: float32 when it is complex64 exact,
+    as every sample read from a CSI1 file is (later samples are then rounded to
+    complex64), float64 otherwise."""
+    labels, norms = [], []
+    it = _labelled(samples, labels, [])
     first = next(it, None)
     if first is None:
-        features = np.empty((0, 0))
+        features = np.empty((0, 0), dtype=np.float32)
     else:
-        features = np.fromiter(itertools.chain([first], it), dtype=(np.float64, first.size))
+        with np.errstate(over="ignore"):  # an entry beyond complex64 range is not exact
+            exact = np.array_equal(first.h.astype(np.complex64), first.h)
+        dtype = np.float32 if exact else np.float64
+
+        def rows():  # [Re h, Im h] and |h| times the 2^e that puts |h| in [0.5, 1)
+            for h in (sample.h for sample in itertools.chain([first], it)):
+                norm = np.linalg.norm(h)
+                if not 0.0 < norm < np.inf:
+                    raise ValueError(f"cannot store a CSI matrix of norm {norm}")
+                e = -int(np.frexp(norm)[1])
+                row = np.empty(2 * h.size, dtype=dtype)  # float32 rounds h to complex64
+                np.ldexp(h.real, e, out=row[:h.size].reshape(h.shape), casting="same_kind")
+                np.ldexp(h.imag, e, out=row[h.size:].reshape(h.shape), casting="same_kind")
+                norms.append(float(np.ldexp(norm, e)))
+                yield row
+
+        features = np.fromiter(rows(), dtype=(dtype, 2 * first.h.size))
     labels_mm = np.array(labels, dtype=np.float64).reshape(len(labels), 3)
-    return FingerprintDb(features, labels_mm, cfg, topology)
+    return FingerprintDb(features, norms, labels_mm, cfg, topology)
 
 
 # Distances per query block (64 MiB; a 2,601-node leave-one-out is one block),
-# features per 2 MiB re-rank gather, and features per float32 screening chunk.
-_BLOCK_ELEMENTS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 23, 1 << 18, 2048
-_U32, _TINY32 = 2.0 ** -24, float(np.finfo(np.float32).tiny)
-
-
-def _check_sqnorms(sqnorms: np.ndarray, what: str) -> None:
-    if not np.isfinite(4.0 * sqnorms.max(initial=0.0)):
-        raise ValueError(f"{what} too large: 4 |x|^2 must be finite")
+# features per 1 MiB re-rank gather, and features per screening chunk.
+_BLOCK_ELEMENTS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 23, 1 << 17, 2048
 
 
 def _nearest(db: FingerprintDb, q: np.ndarray | None, k: int):
     """(B, k) indices and distances of the k nearest fingerprints to each (B, D)
-    query row; ``q=None`` is leave-one-out, each row never matching itself.
-    Candidates lie within four rounding bounds gamma_{D+2} (max|x| + |q|)^2 of
-    the k-th smallest expanded |x|^2 - 2 q.x + |q|^2, which no true or
-    direct-form neighbour exceeds (gamma_n = n eps / (1 - n eps)). Leave-one-out
-    sums q.x in float32 over L-feature chunks scaled by a power of two to row
-    norms below 1, adding 4 alpha max|x| |q| (alpha = gamma_m(u) (1 + u)^2 + 2u
-    + u^2, u = 2^-24, m = L + ceil(D / L)) and, for underflow, four times
-    8 D tiny32 per scaled product. Queries keep float64: one is a memory-bound
-    pass that a cast would double. The direct ``norm(x - q)`` re-ranks stably,
+    float64 query row; ``q=None`` is leave-one-out, each stored row a query that
+    never matches itself.
+
+    One screen serves both. It sums products of query rows and stored rows in the
+    store's dtype (unit roundoff u, smallest normal t) over L-feature chunks of
+    column views; a query row is scaled by a power of two s_q to a norm below 1
+    and cast to that dtype once, while leave-one-out reads the store itself
+    (s_q = 1 / norms). The float64 estimate of |x|^2 - 2 q.x + |q|^2 divides the
+    product by the rows' scales. Candidates lie within a margin of the k-th
+    smallest estimate that no true or direct-form neighbour exceeds:
+    4 gamma_{D+8} (max|x| + |q|)^2 for float64 rounding, rebuilt rows and scales
+    included (gamma_n = n eps / (1 - n eps)); 4 alpha max|x| |q| for the product,
+    alpha = gamma_m(u) (1 + u)^2 with m = L + ceil(D / L), plus 2u for a query's
+    own cast; and 32 D t s_q / min(norms) for underflow. The direct
+    ``norm(x - q)`` re-ranks stably over rows rebuilt as ``features / norms``,
     each leave-one-out pair once: ties go to the lower database index.
     """
-    x, self_join = db.features, q is None
-    q = x if self_join else q
-    n, dim = x.shape
-    if not 1 <= k <= n - self_join or q.shape[1] != dim:
+    y, norms, self_join = db.features, db.norms, q is None
+    n, dim = y.shape
+    nq = n if self_join else len(q)
+    if not 1 <= k <= n - self_join or (not self_join and q.shape[1] != dim):
         raise ValueError(f"need k in [1, {n - self_join}] and {dim} query features, "
-                         f"got k={k} and {q.shape[1]}")
-    sqx, sqq = db.sqnorms, db.sqnorms if self_join else np.einsum("bd,bd->b", q, q)
-    _check_sqnorms(sqq, "query features")
-    top, u = np.sqrt(sqx.max()), (dim + 2) * np.finfo(np.float64).eps
-    margin = 4.0 * u / (1.0 - u) * (top + np.sqrt(sqq)) ** 2
-    rows = max(1, min(_BLOCK_ELEMENTS // n, len(q)))
-    factor = -2.0
+                         f"got k={k} and {dim if self_join else q.shape[1]}")
+    sqx = db.sqnorms
     if self_join:
-        width = max(1, min(_SCREEN_FEATURES, _BLOCK_ELEMENTS // n))
-        m = width + -(-dim // width)
-        alpha = m * _U32 / (1.0 - m * _U32) * (1.0 + _U32) ** 2 + 2.0 * _U32 + _U32 ** 2
-        e = int(np.frexp(top)[1])  # x * 2^-e has row norms below 1, exactly
-        margin += 4.0 * alpha * top * np.sqrt(sqq) + np.ldexp(32.0 * dim * _TINY32, 2 * e)
-        scale, factor = np.ldexp(1.0, -e), np.ldexp(-2.0, 2 * e)
-        cast = np.empty(n * width, dtype=np.float32)
-        gram, part = np.empty((2, rows, n), dtype=np.float32)  # the block's sum and one chunk's
+        sqq, scale = sqx, 1.0 / norms
+    else:
+        sqq = np.einsum("bd,bd->b", q, q)
+        if not np.isfinite(4.0 * sqq.max(initial=0.0)):
+            raise ValueError("query features too large: 4 |q|^2 must be finite")
+        scale = np.ldexp(1.0, np.frexp(np.sqrt(sqq))[1])  # q / scale has norms below 1
+    info, eps = np.finfo(y.dtype), np.finfo(np.float64).eps
+    width = max(1, min(_SCREEN_FEATURES, dim))
+    m, g64, u = width + -(-dim // width), (dim + 8) * eps, info.eps / 2
+    alpha = m * u / (1.0 - m * u) * (1.0 + u) ** 2 + (0.0 if self_join else 2.0 * u)
+    top, qn = np.sqrt(sqx.max()), np.sqrt(sqq)
+    margin = (4.0 * g64 / (1.0 - g64) * (top + qn) ** 2 + 4.0 * alpha * top * qn
+              + 32.0 * dim * float(info.tiny) * scale / norms.min())
+    rows = max(1, min(_BLOCK_ELEMENTS // n, nq))
+    gram, part = np.empty((2, rows, n), dtype=y.dtype)  # the block's sum and one chunk's
+    if not self_join:
+        cast, unscale = np.empty(rows * width, dtype=y.dtype), 1.0 / scale
+    weight = -2.0 / norms
     d2, ranked = np.empty((2, min(64, rows), n))  # thresholded 64 rows at a time
     r, c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    for s in range(0, len(q), rows):
-        b = min(rows, len(q) - s)
-        if self_join:
-            for f in range(0, dim, width):
-                y = cast[:n * min(width, dim - f)].reshape(n, -1)
-                np.multiply(x[:, f:f + width], scale, out=y)
-                np.matmul(y[s:s + b], y.T, out=(part if f else gram)[:b])  # syrk if one block
-                if f:
-                    gram[:b] += part[:b]
-            g = gram[:b]
-        else:
-            g = q[s:s + b] @ x.T
+    for s in range(0, nq, rows):
+        b = min(rows, nq - s)
+        for f in range(0, dim, width):
+            if self_join:
+                a = y[s:s + b, f:f + width]
+            else:
+                a = cast[:b * min(width, dim - f)].reshape(b, -1)
+                np.multiply(q[s:s + b, f:f + width], unscale[s:s + b, None], out=a,
+                            casting="same_kind")
+            np.matmul(a, y[:, f:f + width].T, out=(part if f else gram)[:b])  # syrk if one block
+            if f:
+                gram[:b] += part[:b]
         for i in range(s, s + b, 64):
             t = d2[:min(64, s + b - i)]  # -2 q.x + |x|^2 + |q|^2 in float64
-            np.multiply(g[i - s:i - s + len(t)], factor, out=t, dtype=np.float64)
+            np.multiply(gram[i - s:i - s + len(t)], weight, out=t)
+            t *= scale[i:i + len(t), None]
             t += sqx
             t += sqq[i:i + len(t), None]
             if self_join:
@@ -174,17 +217,25 @@ def _nearest(db: FingerprintDb, q: np.ndarray | None, k: int):
         pair, inverse = np.unique(np.minimum(r, c) * n + np.maximum(r, c), return_inverse=True)
         qr, xc = np.divmod(pair, n)
     pairs = max(1, _GATHER_ELEMENTS // dim)
-    exact, gather = np.empty(len(xc)), np.empty((min(pairs, len(xc)), dim))
+    exact, raw = np.empty(len(xc)), np.empty((min(pairs, len(xc)), dim), y.dtype)
+    gather = np.empty(raw.shape)
+    rebuilt = np.empty(raw.shape) if self_join else None
     for p in range(0, len(xc), pairs):  # each query row broadcast against its candidates
-        rp = qr[p:p + pairs]
-        diff = np.take(x, xc[p:p + pairs], axis=0, out=gather[:len(rp)], mode="clip")
-        starts = np.flatnonzero(np.diff(rp, prepend=-1)).tolist()
-        for a, z in zip(starts, starts[1:] + [len(rp)]):
-            diff[a:z] -= q[rp[a]]
+        rp, cp = qr[p:p + pairs], xc[p:p + pairs]
+        diff = np.divide(np.take(y, cp, axis=0, out=raw[:len(rp)], mode="clip"),
+                         norms[cp, None], out=gather[:len(rp)])  # the candidates, rebuilt
+        starts = np.flatnonzero(np.diff(rp, prepend=-1))
+        queries, heads = q, rp[starts]
+        if self_join:  # this chunk's query rows, rebuilt in one batch
+            queries = np.divide(np.take(y, heads, axis=0, out=raw[:len(heads)], mode="clip"),
+                                norms[heads, None], out=rebuilt[:len(heads)])
+            heads = np.arange(len(heads))
+        for j, a, z in zip(heads.tolist(), starts.tolist(), starts[1:].tolist() + [len(rp)]):
+            diff[a:z] -= queries[j]
         np.multiply(diff, diff, out=diff)  # then np.linalg.norm's own sqrt(sum), in place
         np.sqrt(np.add.reduce(diff, axis=1), out=exact[p:p + len(rp)])
     exact = exact[inverse] if self_join else exact
-    first = np.searchsorted(r, np.arange(len(q)))
+    first = np.searchsorted(r, np.arange(nq))
     take = np.lexsort((exact, r))[first[:, None] + np.arange(k)]
     return c[take], exact[take]
 
@@ -227,19 +278,17 @@ class LocalizationReport:
 
 
 def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> LocalizationReport:
-    """Locate every labelled test sample, as one batch, and aggregate the errors.
-    The samples stream: only their features and ids are kept."""
-    ids = []
-
-    def tracked():
-        for sample in test_samples:
-            ids.append(sample.sample_id)
-            yield sample
-
-    test = build_fingerprints(tracked(), db.config)
-    if len(test) == 0:
+    """Locate every labelled test sample, as one batch of float64 extract_features
+    rows, and aggregate the errors. The samples stream: only their features,
+    labels and ids are kept."""
+    labels, ids = [], []
+    it = _labelled(test_samples, labels, ids)
+    first = next(it, None)
+    if first is None:
         raise ValueError("test set is empty")
-    d = _weighted_label_mean(db, *_nearest(db, test.features, k)) - test.labels_mm
+    q = np.fromiter(map(extract_features, itertools.chain([first], it)),
+                    dtype=(np.float64, 2 * first.h.size))
+    d = _weighted_label_mean(db, *_nearest(db, q, k)) - np.array(labels)
     errors = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)  # as Position3.distance_mm
     return LocalizationReport.from_errors(errors, ids)
 
@@ -265,8 +314,10 @@ def report_to_csv(report: LocalizationReport, path) -> None:
 # ---------------------------------------------------------------------------
 
 FPDB_MAGIC = b"FPDB"
-FPDB_VERSION = 1
-_FPDB_HEADER = struct.Struct("<4sBBHII")  # magic, version, mode, tag length, N, D
+FPDB_VERSION = 2
+# magic, version, feature mode, tag length, N, D, bytes per feature (4 or 8)
+_FPDB_HEADER = struct.Struct("<4sBBHIIB")
+_FEATURE_BYTES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
 class FeatureModeError(DatasetIOError):
@@ -274,39 +325,47 @@ class FeatureModeError(DatasetIOError):
 
 
 def save_fingerprints(db: FingerprintDb, path) -> None:
+    """Write the header, the topology tag, the features in the store's dtype,
+    then the float64 norms and labels, all little-endian."""
     tag = db.topology.encode("utf-8")
     if len(tag) > 0xFFFF:
         raise ValueError("topology tag too long")
     mode_index = list(FeatureMode).index(db.config.mode)
+    width = db.features.itemsize
     header = _FPDB_HEADER.pack(FPDB_MAGIC, FPDB_VERSION, mode_index, len(tag),
-                               len(db), db.features.shape[1])
+                               len(db), db.features.shape[1], width)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(tag)
-        fh.write(db.features.astype("<f8").tobytes())
-        fh.write(db.labels_mm.astype("<f8").tobytes())
+        for a, dtype in ((db.features, _FEATURE_BYTES[width]), (db.norms, "<f8"),
+                         (db.labels_mm, "<f8")):
+            fh.write(np.ascontiguousarray(a, dtype=dtype).data)
 
 
 def load_fingerprints(path) -> FingerprintDb:
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_FPDB_HEADER.size)
+        header = fh.read(_FPDB_HEADER.size)  # every version starts with magic and version
+        if len(header) >= 4 and header[:4] != FPDB_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {header[:4]!r}, expected {FPDB_MAGIC!r}")
+        if len(header) >= 5 and header[4] != FPDB_VERSION:
+            raise VersionMismatchError(f"{path}: version {header[4]}, expected {FPDB_VERSION}")
         if len(header) < _FPDB_HEADER.size:
             raise TruncatedFileError(f"{path}: file shorter than the header")
-        magic, version, mode_index, tag_len, n, d = _FPDB_HEADER.unpack(header)
-        if magic != FPDB_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {FPDB_MAGIC!r}")
-        if version != FPDB_VERSION:
-            raise VersionMismatchError(f"{path}: version {version}, expected {FPDB_VERSION}")
+        _, _, mode_index, tag_len, n, d, width = _FPDB_HEADER.unpack(header)
         if mode_index >= len(FeatureMode):
             raise FeatureModeError(f"{path}: unknown feature mode {mode_index}")
-        declared = _FPDB_HEADER.size + tag_len + 8 * (n * d + n * 3)
+        if width not in _FEATURE_BYTES:
+            raise DatasetIOError(f"{path}: features of {width} bytes, expected 4 or 8")
+        declared = _FPDB_HEADER.size + tag_len + width * n * d + 8 * 4 * n
         size = os.fstat(fh.fileno()).st_size
         if size != declared:  # before the body is allocated: a bad header may declare GiBs
             raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
         tag = fh.read(tag_len)
-        body = np.empty(n * d + n * 3, dtype="<f8")  # features then labels, read in place
-        fh.readinto(body)
+        features = np.empty((n, d), dtype=_FEATURE_BYTES[width])  # read in place
+        fh.readinto(features)
+        rest = np.empty(4 * n, dtype="<f8")  # norms then labels
+        fh.readinto(rest)
     mode = list(FeatureMode)[mode_index]
-    return FingerprintDb(body[: n * d].reshape(n, d), body[n * d:].reshape(n, 3),
+    return FingerprintDb(features, rest[:n], rest[n:].reshape(n, 3),
                          FeatureConfig(mode), tag.decode("utf-8"))

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from mamimo import localization
 from mamimo.channel import NoiseSpec, add_noise, los_channel
-from mamimo.dataio import BadMagicError, DatasetIOError, TruncatedFileError
+from mamimo.dataio import (
+    BadMagicError,
+    DatasetIOError,
+    TruncatedFileError,
+    VersionMismatchError,
+    read_sample,
+    write_sample,
+)
 from mamimo.geometry import build_topology, grid_positions
 from mamimo.localization import (
     FeatureConfig,
@@ -25,6 +32,8 @@ from mamimo.localization import (
     save_fingerprints,
 )
 from mamimo.model import CsiSample, Position3, SampleGrid
+
+from conftest import random_csi_matrix
 
 # first-run regression baseline for the noisy distributed-array scenario below
 DA_20DB_MEAN_BASELINE_MM = 0.8785874281986699
@@ -61,6 +70,33 @@ def grid_samples(geometry, radio, grid):
             for i, p in enumerate(grid_positions(grid))]
 
 
+def via_csi1(samples, directory):
+    """The samples written to and read back from CSI1 files, labels kept."""
+    out = []
+    for i, s in enumerate(samples):
+        path = directory / f"{i:06d}.bin"
+        write_sample(path, s)
+        out.append(read_sample(path, label=s.label))
+    return out
+
+
+def as_complex64(samples):
+    """The samples rounded as a CSI1 file rounds them."""
+    return [CsiSample(s.h.astype(np.complex64), label=s.label, sample_id=s.sample_id)
+            for s in samples]
+
+
+def rebuilt(db):
+    """The database's float64 features, features / norms."""
+    return db.features.astype(np.float64) / db.norms[:, None]
+
+
+def random_samples(rng, n, m=64, f=100):
+    """n labelled complex64-exact samples of random CSI, made one at a time."""
+    return (CsiSample(random_csi_matrix(rng, m, f), label=Position3(float(i), 0.0, 0.0),
+                      sample_id=f"{i:06d}") for i in range(n))
+
+
 class TestBuildFingerprints:
     def test_counts_and_order(self, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
@@ -85,34 +121,91 @@ class TestBuildFingerprints:
         db = build_fingerprints([s, s])
         assert len(db) == 2
 
-    def test_db_adopts_and_locks_float64_arrays(self):
-        features, labels = np.zeros((2, 3)), np.zeros((2, 3))
-        db = FingerprintDb(features, labels, FeatureConfig())
-        assert db.features is features and db.labels_mm is labels
-        assert not features.flags.writeable and not labels.flags.writeable
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_db_adopts_and_locks_its_arrays(self, dtype):
+        features, norms, labels = np.zeros((2, 3), dtype), np.full(2, 0.5), np.zeros((2, 3))
+        db = FingerprintDb(features, norms, labels, FeatureConfig())
+        assert db.features is features and db.norms is norms and db.labels_mm is labels
+        assert not any(a.flags.writeable for a in (features, norms, labels, db.sqnorms))
 
     def test_build_peak_memory_is_about_one_feature_matrix(self, rng):
-        # the streamed matrix alone, which FingerprintDb adopts; a copy of it or a
-        # list of rows beside it would double the peak
-        h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
-        samples = (CsiSample(h, label=Position3(float(i), 0.0, 0.0)) for i in range(441))
+        # the streamed float32 store alone, which FingerprintDb adopts; a copy of
+        # it, a list of rows beside it or a float64 store would double the peak
+        samples = random_samples(rng, 441)
         tracemalloc.start()
         try:
             db = build_fingerprints(samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert db.features.shape == (441, 12_800)
-        assert peak <= 1.2 * db.features.nbytes
+        assert db.features.shape == (441, 12_800) and db.features.dtype == np.float32
+        assert peak <= 1.2 * 441 * 12_800 * 4
+
+
+class TestStore:
+    """The stored rows against the float64 features they stand for."""
+
+    @pytest.mark.parametrize("case", ["ura_los_5mm", "ura_20db", "da_los", "scaled_2^100",
+                                      "scaled_2^-100"])
+    def test_csi1_samples_rebuild_extract_features_bit_for_bit(self, case, radio, ura,
+                                                                tmp_path):
+        geometry = build_topology("da") if case == "da_los" else ura
+        grid = SampleGrid(origin=Position3(-10, 2000, 1000), x_extent_mm=20,
+                          y_extent_mm=20, resolution_mm=5)
+        samples = grid_samples(geometry, radio, grid)
+        if case == "ura_20db":
+            samples = [add_noise(s, NoiseSpec(20.0, seed=i)) for i, s in enumerate(samples)]
+        if case.startswith("scaled"):
+            factor = 2.0 ** (100 if case == "scaled_2^100" else -100)
+            samples = [CsiSample(factor * s.h, label=s.label) for s in samples]
+        stored = via_csi1(samples, tmp_path)
+        db = build_fingerprints(stored)
+        assert db.features.dtype == np.float32
+        assert np.all((0.5 <= db.norms) & (db.norms < 1.0))
+        expected = np.stack([extract_features(s) for s in stored])
+        assert rebuilt(db).tobytes() == expected.tobytes()
+
+    def test_in_memory_samples_keep_a_float64_store(self, fast_radio, ura_small):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=10)
+        samples = grid_samples(ura_small, fast_radio, grid)
+        db = build_fingerprints(samples)
+        assert db.features.dtype == np.float64
+        expected = np.stack([extract_features(s) for s in samples])
+        assert rebuilt(db).tobytes() == expected.tobytes()
+
+    def test_later_inexact_sample_rounded_into_a_float32_store(self, fast_radio, ura_small):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=20)
+        samples = grid_samples(ura_small, fast_radio, grid)
+        db = build_fingerprints(as_complex64(samples[:1]) + samples[1:])
+        assert db.features.dtype == np.float32
+        expected = np.stack([extract_features(s) for s in samples])
+        assert np.allclose(rebuilt(db), expected, rtol=2.0 ** -23, atol=0.0)
+
+    @pytest.mark.parametrize("features, norms, labels", [
+        (np.full((1, 4), 0.5, np.float32), np.array([0.4]), np.zeros((1, 3))),
+        (np.full((1, 4), 0.5, np.float32), np.array([1.0]), np.zeros((1, 3))),
+        (np.full((1, 4), 1.0, np.float32), np.array([0.5]), np.zeros((1, 3))),  # row norm 2
+        (np.array([[np.nan, 0.5]], np.float32), np.array([0.5]), np.zeros((1, 3))),
+        (np.array([[np.inf, 0.5]]), np.array([0.5]), np.zeros((1, 3))),
+        (np.full((1, 4), 0.25), np.array([0.5]), np.array([[np.nan, 0.0, 0.0]])),
+        (np.full((2, 4), 0.25), np.array([0.5]), np.zeros((2, 3))),
+        (np.full((1, 4), 0.25), np.array([0.5]), np.zeros((2, 3))),
+    ], ids=["norm_below", "norm_at_1", "row_norm_2", "nan_row", "inf_row", "nan_label",
+            "short_norms", "long_labels"])
+    def test_store_outside_its_scale_rejected(self, features, norms, labels):
+        with pytest.raises(ValueError):
+            FingerprintDb(features, norms, labels, FeatureConfig())
 
 
 class TestKnnLocate:
     def test_row_norms_cached_and_locked(self, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=10)
-        db = build_fingerprints(grid_samples(ura_small, fast_radio, grid))
-        x = db.features
-        assert db.sqnorms.tobytes() == np.einsum("nd,nd->n", x, x).tobytes()
+        db = build_fingerprints(as_complex64(grid_samples(ura_small, fast_radio, grid)))
+        x = rebuilt(db)
+        assert np.allclose(db.sqnorms, np.einsum("nd,nd->n", x, x), rtol=1e-14, atol=0.0)
         with pytest.raises(ValueError):
             db.sqnorms[0] = 0.0
 
@@ -175,7 +268,8 @@ class TestEvaluateAndLeaveOneOut:
         report = leave_one_out_report(db, k=4)
         for i in (0, 9, 23, 35):
             keep = [j for j in range(len(db)) if j != i]
-            reduced = FingerprintDb(db.features[keep], db.labels_mm[keep], db.config)
+            reduced = FingerprintDb(db.features[keep], db.norms[keep], db.labels_mm[keep],
+                                    db.config)
             est = knn_locate(reduced, samples[i], k=4)
             assert est.distance_mm(samples[i].label) == pytest.approx(report.errors_mm[i], abs=1e-9)
 
@@ -203,20 +297,18 @@ class TestEvaluateAndLeaveOneOut:
         assert report.mean_mm == pytest.approx(DA_20DB_MEAN_BASELINE_MM, rel=0.10)
 
     def test_streamed_queries_peak_memory_is_about_one_feature_matrix(self, rng):
-        # the streamed test features alone, which FingerprintDb adopts; the samples
-        # themselves are as large again and must not stay alive
-        def sample(i):
-            h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
-            return CsiSample(h, label=Position3(float(i), 0.0, 0.0), sample_id=f"{i:06d}")
-
-        db = build_fingerprints(sample(i) for i in range(50))
-        queries = (sample(i) for i in range(441))
+        # the streamed float64 query features alone; the samples themselves are as
+        # large again and must not stay alive, and a float32 copy of the whole
+        # batch beside it would add half
+        db = build_fingerprints(random_samples(rng, 50))
+        queries = random_samples(rng, 441)
         tracemalloc.start()
         try:
             report = evaluate_localizer(db, queries, k=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert db.features.dtype == np.float32
         assert report.sample_ids == tuple(f"{i:06d}" for i in range(441))
         assert peak <= 1.2 * 441 * 12_800 * 8
 
@@ -236,20 +328,23 @@ class TestEvaluateAndLeaveOneOut:
         assert len(lines) == 4
 
 
-def near_duplicate_samples(rng, n_far=5):
-    """A CSI h and two near-duplicates h + 3e-9 d1 and h + 1e-9 d2, whose
-    squared feature distances (~1e-19) sit far below the rounding of the
-    expanded form, followed by ``n_far`` unrelated samples."""
+def near_duplicate_samples(rng, precision, n_far=5):
+    """A CSI h, near-duplicates h + a d1 and h + a d2 / 3, then ``n_far``
+    unrelated samples, all rounded to ``precision``. For complex128, a = 3e-9
+    puts the squared feature distances (~1e-19) far below the rounding of the
+    float64 expanded form; for complex64 (a float32 store), a = 3e-7 keeps the
+    duplicates apart after rounding (~1e-13), far below the float32 product's."""
+    a = 3e-9 if precision is np.complex128 else 3e-7
     h = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
     d1, d2 = (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(2))
-    hs = [h, h + 3e-9 * d1, h + 1e-9 * d2]
+    hs = [h, h + a * d1, h + a / 3 * d2]
     hs += [rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)) for _ in range(n_far)]
-    return [CsiSample(m, label=Position3(10.0 * i, 7.0 * (i % 3), 1000.0), sample_id=f"{i:06d}")
-            for i, m in enumerate(hs)]
+    return [CsiSample(m.astype(precision), label=Position3(10.0 * i, 7.0 * (i % 3), 1000.0),
+                      sample_id=f"{i:06d}") for i, m in enumerate(hs)]
 
 
 def direct_estimate(db, query, k):
-    dists = np.linalg.norm(db.features - extract_features(query), axis=1)
+    dists = np.linalg.norm(rebuilt(db) - extract_features(query), axis=1)
     nearest = np.argsort(dists, kind="stable")[:k]
     w = 1.0 / (dists[nearest] + 1e-12)
     return (db.labels_mm[nearest] * w[:, None]).sum(axis=0) / w.sum()
@@ -270,20 +365,31 @@ def direct_nearest(x, q, k):
     return np.array(idx), np.array(dist)
 
 
-def float32_hard_features(case, radio, geometry):
-    """Feature matrices on which a float32 Gram alone misranks neighbours."""
+def nudged(h32, rng, ulps):
+    """``h32`` with a random third of its float32 parts moved ``ulps`` ulps up or down."""
+    v = h32.view(np.float32).copy()
+    pick = rng.random(v.shape) < 1 / 3
+    for direction in (np.float32(np.inf), np.float32(-np.inf)):
+        mask = pick & ((rng.random(v.shape) < 0.5) == (direction > 0))
+        for _ in range(ulps):
+            v[mask] = np.nextafter(v[mask], direction)
+    return v.view(np.complex64)
+
+
+def float32_hard_store(case, radio, geometry):
+    """A float32 store on which a float32 product alone misranks neighbours, and
+    the query scale of the case."""
     rng = np.random.default_rng(21)
-    base = rng.standard_normal((5, 24))
-    near = [base + scale * rng.standard_normal(base.shape) for scale in (1e-9, 3e-9)]
-    rows = np.concatenate([base, *near, base[:3]])  # the last three tie exactly
-    rows = rows[rng.permutation(len(rows))]
-    if case == "near_and_exact_duplicates":
-        return rows
-    if case in ("scaled_2^100", "scaled_2^-100"):
-        return rows * 2.0 ** (100 if case == "scaled_2^100" else -100)
-    grid = SampleGrid(origin=Position3(-5, 1500, 1000), x_extent_mm=10,
-                      y_extent_mm=10, resolution_mm=1)  # 1 mm LoS grid
-    return build_fingerprints(grid_samples(geometry, radio, grid)).features
+    if case == "los_grid_1mm":
+        grid = SampleGrid(origin=Position3(-5, 1500, 1000), x_extent_mm=10,
+                          y_extent_mm=10, resolution_mm=1)
+        return build_fingerprints(as_complex64(grid_samples(geometry, radio, grid))), 1.0
+    base = [(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))).astype(np.complex64)
+            for _ in range(5)]
+    hs = base + [nudged(h, rng, 1) for h in base] + [nudged(h, rng, 3) for h in base] + base[:3]
+    order = rng.permutation(len(hs))  # the last three tie exactly with three others
+    db = build_fingerprints([CsiSample(hs[i], label=Position3(0.0, 0.0, 0.0)) for i in order])
+    return db, {"scaled_2^100": 2.0 ** 100, "scaled_2^-100": 2.0 ** -100}.get(case, 1.0)
 
 
 class TestNeighbourKernel:
@@ -291,31 +397,30 @@ class TestNeighbourKernel:
     @pytest.mark.parametrize("case", ["near_and_exact_duplicates", "scaled_2^100",
                                       "scaled_2^-100", "los_grid_1mm"])
     def test_float32_screen_matches_direct_argsort_bit_for_bit(self, case, k, fast_radio, ura):
-        x = float32_hard_features(case, fast_radio, ura)
-        db = FingerprintDb(x, np.zeros((len(x), 3)), FeatureConfig())
-        q = x[::3] + 1e-10 * np.abs(x).max() * np.random.default_rng(4).standard_normal(x[::3].shape)
-        for queries in (None, q):
+        db, scale = float32_hard_store(case, fast_radio, ura)
+        assert db.features.dtype == np.float32
+        x = rebuilt(db)
+        q = scale * (x[::3] + 1e-10 * np.random.default_rng(4).standard_normal(x[::3].shape))
+        for queries in [None, q] + [q[j:j + 1] for j in range(len(q))]:  # leave-one-out, batch, single
             idx, dist = localization._nearest(db, queries, k)
             expected_idx, expected_dist = direct_nearest(x, queries, k)
             assert np.array_equal(idx, expected_idx)
             assert np.array_equal(dist, expected_dist)
 
-    def test_squared_norm_overflow_rejected(self):
-        x = np.random.default_rng(3).standard_normal((6, 8))
+    def test_squared_norm_overflow_rejected(self, rng):
+        db = build_fingerprints(random_samples(rng, 6, 2, 4))
+        x = rebuilt(db)
+        assert np.array_equal(localization._nearest(db, 1e150 * x[:2], 2)[0],
+                              direct_nearest(x, 1e150 * x[:2], 2)[0])
         with pytest.raises(ValueError, match="too large"):
-            FingerprintDb(1e160 * x, np.zeros((6, 3)), FeatureConfig())
-        db = FingerprintDb(1e150 * x, np.zeros((6, 3)), FeatureConfig())
-        assert np.array_equal(localization._nearest(db, None, 2)[0],
-                              direct_nearest(db.features, None, 2)[0])
-        with pytest.raises(ValueError, match="too large"):
-            localization._nearest(FingerprintDb(x, np.zeros((6, 3)), FeatureConfig()),
-                                  1e160 * x[:1], 1)
+            localization._nearest(db, 1e160 * x[:1], 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_near_duplicate_ranking_matches_direct_argsort(self, k):
+    @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
+    def test_near_duplicate_ranking_matches_direct_argsort(self, k, precision):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            samples = near_duplicate_samples(rng)
+            samples = near_duplicate_samples(rng, precision)
             samples.insert(2, samples[1])  # an exact tie goes to the lower index
             db = build_fingerprints(samples)
             for query in samples[:4]:
@@ -324,22 +429,26 @@ class TestNeighbourKernel:
                 assert np.abs(est.as_array() - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_loo_equals_knn_on_reduced_database_for_near_duplicates(self, k):
+    @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
+    def test_loo_equals_knn_on_reduced_database_for_near_duplicates(self, k, precision):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            samples = near_duplicate_samples(rng)
+            samples = near_duplicate_samples(rng, precision)
             db = build_fingerprints(samples)
+            assert db.features.dtype == (np.float32 if precision is np.complex64 else np.float64)
             report = leave_one_out_report(db, k=k)
             for i in range(3):
                 keep = [j for j in range(len(db)) if j != i]
-                reduced = FingerprintDb(db.features[keep], db.labels_mm[keep], db.config)
+                reduced = FingerprintDb(db.features[keep], db.norms[keep], db.labels_mm[keep],
+                                        db.config)
                 err = knn_locate(reduced, samples[i], k=k).distance_mm(samples[i].label)
                 assert abs(err - report.errors_mm[i]) <= 1e-12
 
-    def test_batched_evaluation_equals_per_query_knn(self, radio, ura):
+    @pytest.mark.parametrize("store", [as_complex64, list], ids=["float32", "float64"])
+    def test_batched_evaluation_equals_per_query_knn(self, radio, ura, store):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=5)
-        db = build_fingerprints(grid_samples(ura, radio, grid))
+        db = build_fingerprints(store(grid_samples(ura, radio, grid)))
         queries = [add_noise(los_channel(ura, Position3(-18.0 + 4.1 * i, 1502.0 + 3.7 * i, 1000.0),
                                          radio, sample_id=f"{i:06d}"), NoiseSpec(15.0, seed=i))
                    for i in range(9)]
@@ -349,10 +458,12 @@ class TestNeighbourKernel:
         assert report.errors_mm.tolist() == expected
         assert report.sample_ids == tuple(q.sample_id for q in queries)
 
-    def test_blocks_and_gather_chunks_change_nothing(self, fast_radio, ura_small, monkeypatch):
+    @pytest.mark.parametrize("store", [as_complex64, list], ids=["float32", "float64"])
+    def test_blocks_and_gather_chunks_change_nothing(self, fast_radio, ura_small, monkeypatch,
+                                                     store):
         grid = SampleGrid(origin=Position3(-25, 1500, 1000), x_extent_mm=50,
                           y_extent_mm=50, resolution_mm=10)
-        samples = grid_samples(ura_small, fast_radio, grid)
+        samples = store(grid_samples(ura_small, fast_radio, grid))
         db = build_fingerprints(samples)
         queries = [add_noise(s, NoiseSpec(10.0, seed=i)) for i, s in enumerate(samples)]
         whole = (leave_one_out_report(db, k=3).errors_mm,
@@ -375,17 +486,22 @@ class TestNeighbourKernel:
 
 
 class TestPersistence:
-    def test_roundtrip(self, fast_radio, ura_small, tmp_path):
+    @pytest.mark.parametrize("store", [as_complex64, list], ids=["float32", "float64"])
+    def test_roundtrip(self, fast_radio, ura_small, tmp_path, store):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=20)
-        db = build_fingerprints(grid_samples(ura_small, fast_radio, grid), topology="ura")
+        db = build_fingerprints(store(grid_samples(ura_small, fast_radio, grid)), topology="ura")
         path = tmp_path / "db.fpdb"
         save_fingerprints(db, path)
         loaded = load_fingerprints(path)
-        assert np.array_equal(loaded.features, db.features)
+        assert loaded.features.dtype == db.features.dtype
+        assert loaded.features.tobytes() == db.features.tobytes()
+        assert loaded.norms.tobytes() == db.norms.tobytes()
         assert np.array_equal(loaded.labels_mm, db.labels_mm)
         assert loaded.config == db.config
         assert loaded.topology == "ura"
+        header = 17 + len("ura")
+        assert path.stat().st_size == header + len(db) * (db.features.nbytes // len(db) + 32)
 
     def test_loaded_db_locates_identically(self, fast_radio, ura_small, tmp_path):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
@@ -398,30 +514,47 @@ class TestPersistence:
         query = add_noise(samples[3], NoiseSpec(15.0, seed=5))
         assert knn_locate(loaded, query, k=3) == knn_locate(db, query, k=3)
 
-    @pytest.mark.parametrize("where", ["features", "labels"])
+    @pytest.mark.parametrize("where", ["features", "norms", "labels"])
     def test_non_finite_value_rejected_on_load(self, fast_radio, ura_small, tmp_path, where):
         grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
                           y_extent_mm=40, resolution_mm=20)
-        db = build_fingerprints(grid_samples(ura_small, fast_radio, grid), topology="ura")
+        samples = as_complex64(grid_samples(ura_small, fast_radio, grid))
+        db = build_fingerprints(samples, topology="ura")
         path = tmp_path / "db.fpdb"
         save_fingerprints(db, path)
         data = bytearray(path.read_bytes())
         offset = len(data) - db.labels_mm.nbytes  # first label
+        if where != "labels":
+            offset -= db.norms.nbytes  # first norm
         if where == "features":
-            offset -= db.features.nbytes - 8 * 5  # sixth feature of the first row
-        data[offset:offset + 8] = struct.pack("<d", float("nan"))
+            offset -= db.features.nbytes - 4 * 5  # sixth feature of the first row
+        value = struct.pack("<f" if where == "features" else "<d", float("nan"))
+        data[offset:offset + len(value)] = value
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError):
             load_fingerprints(path)
 
-    @pytest.mark.parametrize("n, d", [(200_000, 12_800), (2**32 - 1, 2**32 - 1)],
+    @pytest.mark.parametrize("n, d", [(400_000, 12_800), (2**32 - 1, 2**32 - 1)],
                              ids=["19GiB", "max-counts"])
     def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path, n, d):
         path = tmp_path / "db.fpdb"
-        path.write_bytes(struct.pack("<4sBBHII", b"FPDB", 1, 0, 0, n, d).ljust(73, b"\0"))
+        path.write_bytes(struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, n, d, 4).ljust(73, b"\0"))
         tracemalloc.start()
         try:
             with pytest.raises(TruncatedFileError, match="db.fpdb"):
+                load_fingerprints(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_version_1_file_rejected_before_allocation(self, tmp_path):
+        # the float64 layout: header without a feature width, features then labels
+        path = tmp_path / "db.fpdb"
+        path.write_bytes(struct.pack("<4sBBHII", b"FPDB", 1, 0, 0, 200_000, 12_800) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(VersionMismatchError, match="version 1"):
                 load_fingerprints(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -434,29 +567,31 @@ class TestPersistence:
         with pytest.raises(BadMagicError):
             load_fingerprints(path)
 
-    def test_bad_mode_truncation_and_trailing_bytes_name_the_path(self, tmp_path):
-        db = FingerprintDb(np.arange(6.0).reshape(2, 3), np.ones((2, 3)), FeatureConfig(), "ura")
+    def test_bad_mode_width_truncation_and_trailing_bytes_name_the_path(self, tmp_path):
+        db = build_fingerprints([CsiSample(np.array([[1 + 2j, 3j]]), label=Position3(i, 0, 0))
+                                 for i in range(2)], topology="ura")
         path = tmp_path / "db.fpdb"
         save_fingerprints(db, path)
         good = path.read_bytes()
         bad_mode = good[:5] + bytes([7]) + good[6:]  # byte 5 is the feature mode
-        for data, error in [(bad_mode, DatasetIOError), (good[:-1], TruncatedFileError),
-                            (good[:17], TruncatedFileError), (good + b"\0", TruncatedFileError)]:
+        bad_width = good[:16] + bytes([2]) + good[17:]  # byte 16 is the feature width
+        for data, error in [(bad_mode, DatasetIOError), (bad_width, DatasetIOError),
+                            (good[:-1], TruncatedFileError), (good[:17], TruncatedFileError),
+                            (good[:7], TruncatedFileError), (good + b"\0", TruncatedFileError)]:
             path.write_bytes(data)
             with pytest.raises(error, match="db.fpdb"):
                 load_fingerprints(path)
 
     def test_load_peak_memory_is_about_one_feature_matrix(self, rng, tmp_path):
-        # the body read in place, which FingerprintDb adopts; a copy or a bytes
-        # slice of it beside the body would double the peak
+        # the float32 body read in place, which FingerprintDb adopts; a copy, a
+        # bytes slice beside it or a float64 store would double the peak
         path = tmp_path / "db.fpdb"
-        save_fingerprints(FingerprintDb(rng.standard_normal((441, 12_800)),
-                                        rng.standard_normal((441, 3)), FeatureConfig()), path)
+        save_fingerprints(build_fingerprints(random_samples(rng, 441)), path)
         tracemalloc.start()
         try:
             db = load_fingerprints(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert db.features.shape == (441, 12_800)
-        assert peak <= 1.2 * db.features.nbytes
+        assert db.features.shape == (441, 12_800) and db.features.dtype == np.float32
+        assert peak <= 1.2 * 441 * 12_800 * 4

@@ -54,10 +54,12 @@ class TestCsiSample:
         h[0, 0] = 5.0  # caller keeps a writeable array
         assert s.h[0, 0] == 1.0  # and the sample keeps its own copy
 
-    def test_nonfinite_rejected(self):
+    @pytest.mark.parametrize("bad_value", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                           complex(np.inf, 1.0), complex(1.0, -np.inf)])
+    def test_nonfinite_rejected(self, bad_value):
         bad = np.ones((2, 2), dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        bad[1, 0] = bad_value
+        with pytest.raises(ValueError, match="finite"):
             CsiSample(bad)
 
     def test_user_id_range(self):
