@@ -8,7 +8,6 @@ colour scale.
 """
 
 from mamimo import (
-    LinkBudget,
     Position3,
     RadioConfig,
     SampleGrid,
@@ -21,7 +20,6 @@ from mamimo.dsp import power_map_to_csv, power_map_to_pgm
 from mamimo.geometry import grid_positions
 
 radio = RadioConfig()
-budget = LinkBudget(total_tx_power=1.0, noise_power=1e-3)
 
 # One coarse 51 x 51 grid over a positioner table and a target inside it.
 grid = SampleGrid(origin=Position3(-625.0, 1000.0, 1000.0),
@@ -35,7 +33,7 @@ for name in ("ura", "ula", "da"):
     topology = build_topology(name)
     target = los_channel(topology, target_pos, radio)
     field = (los_channel(topology, p, radio) for p in grid_positions(grid))
-    raw_maps[name] = power_map(grid, field, target, budget)
+    raw_maps[name] = power_map(grid, field, target)
 
 # Normalising over a shared set makes the topologies comparable: the
 # strongest node across all three maps becomes 1.

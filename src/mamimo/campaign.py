@@ -150,7 +150,7 @@ class VirtualPositioner:
 
     def __init__(self, x_extent_mm: float = 1250.0, y_extent_mm: float = 1250.0,
                  max_error_mm: float = 0.0, seed: int | tuple[int, ...] = 0):
-        if max_error_mm < 0 or max_error_mm > ACCURACY_BOUND_MM:
+        if not 0 <= max_error_mm <= ACCURACY_BOUND_MM:  # NaN fails too
             raise ValueError(f"max_error_mm must be in [0, {ACCURACY_BOUND_MM}]")
         self.x_extent_mm = x_extent_mm
         self.y_extent_mm = y_extent_mm
@@ -477,6 +477,8 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
         drivers = positioners
         if positioner_address is not None:
             host, base_port = positioner_address
+            if base_port and not 0 < base_port <= 65536 - len(positioners):
+                raise ValueError(f"positioner ports from {base_port} leave 1..65535")
             ports = (base_port + i if base_port else 0 for i in range(len(positioners)))
             servers = [stack.enter_context(PositionerServer(table, (host, port)))
                        for table, port in zip(positioners, ports)]

@@ -27,7 +27,7 @@ from .geometry import (
     grid_positions,
     roi_center,
 )
-from .model import Position3, RadioConfig, SampleGrid, TopologyKind, Traversal
+from .model import MAX_USERS, Position3, RadioConfig, SampleGrid, TopologyKind, Traversal
 
 CAPTURE_ADDR_ENV = "CSI_CAPTURE_ADDR"
 POSITIONER_ADDR_ENV = "CSI_POSITIONER_ADDR"
@@ -35,8 +35,8 @@ POSITIONER_ADDR_ENV = "CSI_POSITIONER_ADDR"
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host:
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected host:port, port in 0..65535, got {text!r}")
     return host, int(port)
 
 
@@ -52,6 +52,13 @@ def _parse_db_range(text: str) -> tuple[float, float]:
     if len(parts) != 2 or not -math.inf < parts[0] < parts[1] < math.inf:
         raise argparse.ArgumentTypeError(f"expected two increasing values lo,hi, got {text!r}")
     return parts
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _snr(text: str) -> float:
@@ -194,7 +201,7 @@ def _cmd_schedule(args) -> int:
                         center.y + rng.uniform(-half, half), DEFAULT_HEIGHT_MM)
         sample = chan.synthesize_sample(geometry, pos, radio, snr_db=args.snr_db,
                                         seed=args.seed, stream=chan.STREAM_POOL,
-                                        user_id=i % 12, sample_id=f"{i:06d}")
+                                        user_id=i % MAX_USERS, sample_id=f"{i:06d}")
         users.append(sched.PoolUser(i, sample, pos))
     pool = sched.UserPool(users)
     budget = dsp.LinkBudget(args.tx_power, args.noise_power)
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="compare user-grouping algorithms on a synthetic pool")
     p.add_argument("--topology", choices=[k.value for k in TopologyKind], default="ura")
     p.add_argument("--standoff-mm", type=float, default=DEFAULT_STANDOFF_MM)
-    p.add_argument("--roi-mm", type=float, default=2500.0)
+    p.add_argument("--roi-mm", type=_finite, default=2500.0)
     p.add_argument("--users", type=int, default=24)
     p.add_argument("--group-size", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.3)

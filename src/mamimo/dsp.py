@@ -1,15 +1,17 @@
 """Downlink precoding, received-power maps and spectral-efficiency metrics.
 
-Conventions: user channels are M-vectors per subcarrier, the signal a user
-receives from precoding vector w is h^T w (plain transpose; the conjugation
-lives in the weights), and precoding is computed independently per
-subcarrier with wideband figures averaged over the pilot subcarriers.
-Transmit power is split equally over scheduled users; no water-filling.
+Conventions: both precoders take K users stacked as (K, M, F), one user as
+``h[None]``; the signal a user receives from precoding vector w is h^T w
+(plain transpose; the conjugation lives in the weights), and precoding is
+computed independently per subcarrier with wideband figures averaged over
+the pilot subcarriers. Transmit power is split equally over scheduled users
+(a power map puts unit power on its one user); no water-filling.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -32,11 +34,8 @@ class LinkBudget:
     noise_power: float = 1e-3
 
     def __post_init__(self):
-        if self.total_tx_power <= 0 or self.noise_power < 0:
-            raise ValueError("powers must be positive (noise may be zero)")
-
-    def per_user_power(self, n_users: int) -> float:
-        return self.total_tx_power / n_users
+        if not (0 < self.total_tx_power < math.inf and 0 <= self.noise_power < math.inf):
+            raise ValueError("powers must be finite and positive (noise may be zero)")
 
 
 class PrecodingWeights:
@@ -56,20 +55,22 @@ class PrecodingWeights:
         self.w = w
 
 
-def mrt_weights(h: np.ndarray) -> PrecodingWeights:
-    """Maximum-ratio weights for one user: w_k = conj(h_k) / ||h_k||.
+def mrt_weights(H: np.ndarray) -> PrecodingWeights:
+    """Maximum-ratio weights for K stacked users, H of shape (K, M, F).
 
-    Maximises h^T w per subcarrier (the Cauchy-Schwarz equality case), so
-    the received amplitude at the matched channel is exactly ||h_k||.
+    w_k = conj(h_k) / ||h_k|| maximises h^T w per subcarrier (the
+    Cauchy-Schwarz equality case), so the received amplitude at the matched
+    channel is exactly ||h_k||. An all-zero column raises ValueError naming
+    its user and subcarrier.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError("channel must be an M x F matrix")
-    norms = np.linalg.norm(h, axis=0)
-    if np.any(norms == 0.0):
-        k = int(np.flatnonzero(norms == 0.0)[0])
-        raise ValueError(f"zero channel column at subcarrier {k}")
-    return PrecodingWeights((np.conj(h) / norms)[None, :, :])
+    H = np.asarray(H, dtype=np.complex128)
+    if H.ndim != 3:
+        raise ValueError("stacked channels must have shape (K, M, F)")
+    norms = np.linalg.norm(H, axis=1, keepdims=True)  # (K, 1, F)
+    zero = np.argwhere(norms[:, 0, :] == 0.0)
+    if zero.size:
+        raise ValueError(f"zero channel column of user {zero[0, 0]} at subcarrier {zero[0, 1]}")
+    return PrecodingWeights(np.conj(H) / norms)
 
 
 def zf_weights(H: np.ndarray) -> PrecodingWeights:
@@ -98,6 +99,12 @@ def zf_weights(H: np.ndarray) -> PrecodingWeights:
     return PrecodingWeights(W / np.linalg.norm(W, axis=1, keepdims=True))
 
 
+def _precoder(scheme: PrecodingScheme):
+    """The weights function of ``scheme``, looked up per call, so that a rebound
+    module name (bench/tracing.py wraps ``zf_weights``) is the one called."""
+    return {PrecodingScheme.MRT: mrt_weights, PrecodingScheme.ZF: zf_weights}[scheme]
+
+
 class PowerMap:
     """Received power over a positioner grid for one beamformed target.
 
@@ -106,7 +113,7 @@ class PowerMap:
     one or several maps by their common maximum so the peak node becomes 1.
     """
 
-    def __init__(self, grid: SampleGrid, values, target: Position3, normalized: bool = False):
+    def __init__(self, grid: SampleGrid, values, normalized: bool = False):
         values = np.array(values, dtype=np.float64, order="C")
         if values.shape != (grid.ny, grid.nx):
             raise ValueError(f"values shape {values.shape} does not match grid {grid.ny}x{grid.nx}")
@@ -117,7 +124,6 @@ class PowerMap:
         values.flags.writeable = False
         self.grid = grid
         self.values = values
-        self.target = target
         self.normalized = normalized
 
     def argmax_node(self) -> tuple[int, int]:
@@ -130,24 +136,17 @@ class PowerMap:
 
 
 def power_map(grid: SampleGrid, samples, target: CsiSample,
-              budget: LinkBudget = LinkBudget(),
               scheme: PrecodingScheme = PrecodingScheme.MRT) -> PowerMap:
     """Evaluate one user's beamforming pattern over a grid of channels.
 
     ``samples`` supplies one CsiSample per grid node in raster order
     (an iterable; a dataset stream works). Weights are computed once from
-    the target sample; a node's value is P mean_f |h_f^T w_f|^2, with the
-    whole budget P on the one user. The result is unnormalized; scaling is
-    a separate, explicit step because the comparison set (a single map, or
+    the target sample; a node's value is mean_f |h_f^T w_f|^2, with unit
+    power on the one user. The result is unnormalized; scaling is a
+    separate, explicit step because the comparison set (a single map, or
     several maps that must share a colour scale) is the caller's choice.
     """
-    if scheme is PrecodingScheme.MRT:
-        weights = mrt_weights(target.h)
-    elif scheme is PrecodingScheme.ZF:
-        weights = zf_weights(target.h[None, :, :])
-    else:
-        raise ValueError(f"unknown precoding scheme {scheme!r}")
-    w, p = weights.w[0], budget.total_tx_power
+    w = _precoder(scheme)(target.h[None]).w[0]
     values = np.empty(grid.node_count, dtype=np.float64)
     count = 0
     for i, sample in enumerate(samples):
@@ -155,11 +154,11 @@ def power_map(grid: SampleGrid, samples, target: CsiSample,
             raise ValueError(f"more samples than the {grid.node_count} grid nodes")
         if sample.h.shape != target.h.shape:
             raise ValueError(f"sample {i} shape {sample.h.shape} does not match target")
-        values[i] = np.mean(p * np.abs((sample.h * w).sum(axis=0)) ** 2)
+        values[i] = np.mean(np.abs((sample.h * w).sum(axis=0)) ** 2)
         count += 1
     if count != grid.node_count:
         raise ValueError(f"got {count} samples for {grid.node_count} grid nodes")
-    return PowerMap(grid, values.reshape(grid.ny, grid.nx), target.label or Position3(0, 0, 0))
+    return PowerMap(grid, values.reshape(grid.ny, grid.nx))
 
 
 def normalize_power_maps(maps) -> list[PowerMap]:
@@ -170,7 +169,7 @@ def normalize_power_maps(maps) -> list[PowerMap]:
     peak = max(float(m.values.max()) for m in maps)
     if peak <= 0.0:
         raise ValueError("all-zero power maps cannot be normalized")
-    return [PowerMap(m.grid, m.values / peak, m.target, normalized=True) for m in maps]
+    return [PowerMap(m.grid, m.values / peak, normalized=True) for m in maps]
 
 
 def power_map_to_csv(pmap: PowerMap, path) -> None:
@@ -217,17 +216,8 @@ def group_spectral_efficiency(H_group: np.ndarray,
     with the equal power split P_k = P_total / K. Returns (per_user, sum).
     """
     H_group = np.asarray(H_group, dtype=np.complex128)
-    if H_group.ndim != 3:
-        raise ValueError("group channels must have shape (K, M, F)")
-    K = H_group.shape[0]
-    if scheme is PrecodingScheme.ZF:
-        weights = zf_weights(H_group)
-        w = weights.w  # (K, M, F)
-    elif scheme is PrecodingScheme.MRT:
-        w = np.stack([mrt_weights(H_group[k]).w[0] for k in range(K)])
-    else:
-        raise ValueError(f"unknown precoding scheme {scheme!r}")
-    p = budget.per_user_power(K)
+    w = _precoder(scheme)(H_group).w  # (K, M, F); the precoder checks the shape
+    p = budget.total_tx_power / H_group.shape[0]
     # amps[k, j, f] = h_k,f^T w_j,f
     amps = np.einsum("kmf,jmf->kjf", H_group, w)
     powers = p * np.abs(amps) ** 2

@@ -206,8 +206,8 @@ class SampleGrid:
     def __post_init__(self):
         if not (0 <= self.x_extent_mm < math.inf and 0 <= self.y_extent_mm < math.inf):
             raise ValueError("extents must be finite and nonnegative")
-        if self.resolution_mm <= 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < self.resolution_mm < math.inf:
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution_mm}")
         if not 0 <= self.positioner_id < 4:
             raise ValueError("positioner_id must be in [0, 4)")
         for extent in (self.x_extent_mm, self.y_extent_mm):

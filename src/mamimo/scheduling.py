@@ -69,13 +69,14 @@ class Schedule:
 def sus_select(pool: UserPool, alpha: float = 0.3, max_users: int | None = None) -> list[int]:
     """Greedy semi-orthogonal user selection on wideband channels.
 
-    Channels are the subcarrier-stacked M*F vectors. The first pick is the
-    largest-norm user; afterwards a candidate survives only while its
-    normalized projection onto every orthonormal basis vector of the
-    selected span stays below ``alpha``, and the survivor with the largest
-    component orthogonal to that span is picked next. Selection stops at
-    ``max_users`` or when no candidate survives; the returned list is in
-    selection order.
+    Channels are the subcarrier-stacked M*F vectors g, one (K, M*F) matrix.
+    The first pick is the largest-norm user. A pick with a nonzero residual
+    (its component orthogonal to the selected span) normalizes it to b,
+    projects b out of every residual once and drops each candidate with
+    |g^H b| / ||g|| >= ``alpha``, and every zero channel. The survivor with
+    the largest residual norm is picked next, ties to the lowest index.
+    Selection stops at ``max_users`` or when no candidate survives; the
+    returned list is in selection order.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -83,35 +84,21 @@ def sus_select(pool: UserPool, alpha: float = 0.3, max_users: int | None = None)
         raise ValueError("user pool is empty")
     if max_users is None:
         max_users = len(pool)
-    channels = np.stack([u.csi.h.reshape(-1) for u in pool.users])  # (K, M*F)
-    candidates = list(range(len(pool)))
-    basis: list[np.ndarray] = []  # orthonormal vectors spanning the selected users
+    g = np.stack([u.csi.h.reshape(-1) for u in pool.users])  # (K, M*F)
+    norms = np.linalg.norm(g, axis=1)
+    res = g.copy()  # each user's component orthogonal to the selected span
+    alive = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
-    while candidates and len(selected) < max_users:
-        if basis:
-            survivors = []
-            for i in candidates:
-                g = channels[i]
-                norm = np.linalg.norm(g)
-                if norm == 0.0:
-                    continue
-                if all(abs(np.vdot(b, g)) / norm < alpha for b in basis):
-                    survivors.append(i)
-            candidates = survivors
-            if not candidates:
-                break
-        best_i, best_res, best_norm = -1, None, -1.0
-        for i in candidates:
-            res = channels[i].copy()
-            for b in basis:
-                res -= b * np.vdot(b, res)
-            res_norm = float(np.linalg.norm(res))
-            if res_norm > best_norm:  # ties keep the lowest index
-                best_i, best_res, best_norm = i, res, res_norm
-        selected.append(best_i)
-        candidates.remove(best_i)
-        if best_norm > 0.0:
-            basis.append(best_res / best_norm)
+    while alive.any() and len(selected) < max_users:
+        res_norms = np.linalg.norm(res, axis=1)
+        pick = int(np.argmax(np.where(alive, res_norms, -1.0)))  # first maximum on ties
+        selected.append(pick)
+        alive[pick] = False
+        if res_norms[pick] > 0.0:
+            b = res[pick] / res_norms[pick]
+            res -= np.outer(res @ np.conj(b), b)
+            with np.errstate(invalid="ignore"):  # 0/0 for a zero channel, masked by norms > 0
+                alive &= (norms > 0) & (np.abs(g @ np.conj(b)) / norms < alpha)
     return selected
 
 
@@ -183,15 +170,10 @@ def min_intra_group_distance(schedule: Schedule, pool: UserPool) -> float:
 def evaluate_schedule(schedule: Schedule, pool: UserPool,
                       budget: LinkBudget = LinkBudget()) -> ScheduleReport:
     """Sum SE per group under zero-forcing, its mean over groups, and the min
-    intra-group distance."""
-    n_antennas = pool[0].csi.n_antennas if len(pool) else 0
-    sums = []
-    for group in schedule.groups:
-        if len(group) > n_antennas:
-            raise ValueError(f"group of {len(group)} users exceeds {n_antennas} antennas")
-        _, sum_se = group_spectral_efficiency(pool.stacked_channels(group), PrecodingScheme.ZF,
-                                              budget)
-        sums.append(sum_se)
+    intra-group distance. A group larger than the antenna count raises
+    ValueError from zero-forcing."""
+    sums = [group_spectral_efficiency(pool.stacked_channels(group), PrecodingScheme.ZF, budget)[1]
+            for group in schedule.groups]
     return ScheduleReport(
         per_group_sum_se=tuple(sums),
         mean_sum_se=float(np.mean(sums)) if sums else 0.0,

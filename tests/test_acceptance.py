@@ -84,7 +84,7 @@ def test_criterion_02_mrt_array_gain():
     worst = 0.0
     for _ in range(1000):
         h = rng.standard_normal((64, 100)) + 1j * rng.standard_normal((64, 100))
-        per_sc = power * np.abs(np.einsum("mf,mf->f", h, mrt_weights(h).w[0])) ** 2
+        per_sc = power * np.abs(np.einsum("mf,mf->f", h, mrt_weights(h[None]).w[0])) ** 2
         expected = np.linalg.norm(h, axis=0) ** 2
         worst = max(worst, float(np.max(np.abs(per_sc - expected) / expected)))
     elapsed = time.monotonic() - t0

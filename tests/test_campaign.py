@@ -194,8 +194,9 @@ class TestVirtualPositioner:
         assert a.position_mm == (100.0, 100.0)  # commanded stays exact
 
     def test_injector_bound_capped(self):
-        with pytest.raises(ValueError):
-            VirtualPositioner(max_error_mm=0.2)
+        for bad in (0.2, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                VirtualPositioner(max_error_mm=bad)
 
 
 def _closed_port():
@@ -563,6 +564,19 @@ class TestPositionerOverTcp:
                     received += data
         assert received == replies
         assert table.homed and table.position_mm == position
+
+    @pytest.mark.parametrize("tables,base_port", [(2, 65535), (4, 65533), (1, -1)])
+    def test_ports_past_the_range_refused_before_any_server(self, tmp_path, monkeypatch,
+                                                              fast_radio, ura_small,
+                                                              tables, base_port):
+        started = []
+        for name in ("PositionerServer", "CaptureService"):
+            monkeypatch.setattr(campaign, name, lambda *a, name=name, **k: started.append(name))
+        plan = plan_full_campaign(default_positioner_grids(extent_mm=5.0)[:tables])
+        with pytest.raises(ValueError, match=f"ports from {base_port} leave"):
+            simulate_campaign(plan, ura_small, fast_radio, tmp_path,
+                              positioner_address=("127.0.0.1", base_port))
+        assert not started
 
     def test_campaign_through_tcp_positioner(self, tmp_path, fixed_source):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),

@@ -53,6 +53,12 @@ class TestSynthAndInspect:
         assert "error" in capsys.readouterr().err.lower()
         assert not out.exists()
 
+    def test_nan_resolution_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run_cli("synth", "--resolution-mm", "nan", "--out", str(out)) == 1
+        assert "resolution must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_prints_header(self, tmp_path, rng, capsys):
         path = tmp_path / "000042.bin"
         write_sample(path, CsiSample(random_csi_matrix(rng, 64, 100)))
@@ -109,6 +115,25 @@ class TestCampaignCli:
         assert code == 0
         index = load_index(out / "index.csv")
         assert len(index) == 2 * 9
+
+
+    def test_nan_positioner_error_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        assert run_cli("campaign", "--out", str(out), "--extent-mm", "5", "--resolution-mm", "5",
+                       "--positioner-error-mm", "nan") == 1
+        assert "max_error_mm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,addr", [("--capture-addr", "127.0.0.1:70000"),
+                                           ("--positioner-addr", "127.0.0.1:-1"),
+                                           ("--positioner-addr", "127.0.0.1:65536")])
+    def test_out_of_range_port_is_a_usage_error(self, tmp_path, capsys, flag, addr):
+        out = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("campaign", "--out", str(out), "--extent-mm", "5", "--resolution-mm", "5",
+                    flag, addr)
+        assert exc.value.code == 2
+        assert addr in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCampaignTcpPositioners:
@@ -229,6 +254,24 @@ class TestScheduleCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "group_id,user_id,x_mm,y_mm"
         assert len(lines) == 9
+
+
+    @pytest.mark.parametrize("power", ["--noise-power", "--tx-power"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_power_is_refused(self, tmp_path, capsys, power, value):
+        out = tmp_path / "schedule.csv"
+        assert run_cli("schedule", "--users", "2", "--group-size", "2", power, value,
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "powers must be finite" in captured.err and "bits/s/Hz" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("roi", ["nan", "inf", "-inf"])
+    def test_non_finite_roi_is_a_usage_error(self, tmp_path, capsys, roi):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("schedule", f"--roi-mm={roi}", "--out", str(tmp_path / "schedule.csv"))
+        assert exc.value.code == 2
+        assert "--roi-mm" in capsys.readouterr().err
 
 
 class TestLocateCli:

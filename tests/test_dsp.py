@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mamimo import dsp
 from mamimo.channel import los_channel
 from mamimo.dsp import (
     LinkBudget,
@@ -28,13 +29,13 @@ def random_channel(rng, m, f):
 class TestMrtWeights:
     def test_single_antenna_unit_magnitude(self, rng):
         h = random_channel(rng, 1, 5)
-        w = mrt_weights(h).w[0]
+        w = mrt_weights(h[None]).w[0]
         assert np.allclose(np.abs(w), 1.0, atol=1e-12)
         assert np.allclose(w, np.conj(h) / np.abs(h), atol=1e-12)
 
     def test_matched_amplitude_equals_channel_norm(self, rng):
         h = random_channel(rng, 64, 100)
-        w = mrt_weights(h).w[0]
+        w = mrt_weights(h[None]).w[0]
         amps = np.einsum("mf,mf->f", h, w)
         norms = np.linalg.norm(h, axis=0)
         assert np.allclose(amps, norms, rtol=1e-12, atol=0)
@@ -42,7 +43,7 @@ class TestMrtWeights:
 
     def test_cauchy_schwarz_bound(self, rng):
         h = random_channel(rng, 64, 1)
-        w = mrt_weights(h).w[0]
+        w = mrt_weights(h[None]).w[0]
         for _ in range(100):
             g = random_channel(rng, 64, 1)
             gain = np.abs(np.einsum("mf,mf->f", g, w)) ** 2
@@ -53,10 +54,23 @@ class TestMrtWeights:
         h = h.copy()
         h[:, 1] = 0
         with pytest.raises(ValueError, match="subcarrier 1"):
-            mrt_weights(h)
+            mrt_weights(h[None])
+
+    def test_zero_column_names_user_and_subcarrier(self, rng):
+        H = np.stack([random_channel(rng, 2, 3) for _ in range(3)])
+        H[2, :, 1] = 0
+        with pytest.raises(ValueError, match="user 2 at subcarrier 1"):
+            mrt_weights(H)
+
+    def test_stacked_users_match_one_at_a_time(self, rng):
+        H = np.stack([random_channel(rng, 8, 5) for _ in range(4)])
+        w = mrt_weights(H).w
+        for k in range(4):
+            assert np.array_equal(w[k], mrt_weights(H[k][None]).w[0])
+            assert np.array_equal(w[k], np.conj(H[k]) / np.linalg.norm(H[k], axis=0))
 
     def test_unit_norm_invariant(self, rng):
-        w = mrt_weights(random_channel(rng, 8, 16)).w
+        w = mrt_weights(random_channel(rng, 8, 16)[None]).w
         assert np.all(np.abs(np.linalg.norm(w, axis=1) - 1) <= 1e-12)
 
 
@@ -77,7 +91,7 @@ class TestZfWeights:
     def test_single_user_matches_mrt_direction(self, rng):
         h = random_channel(rng, 6, 4)
         w_zf = zf_weights(h[None, :, :]).w[0]
-        w_mrt = mrt_weights(h).w[0]
+        w_mrt = mrt_weights(h[None]).w[0]
         assert np.allclose(w_zf, w_mrt, atol=1e-12)
 
     def test_orthogonal_rows_give_conjugate_directions(self):
@@ -148,7 +162,7 @@ class TestZfWeights:
 
 def received_power(g, h, power):
     """P |g_f^T w_f|^2 per subcarrier at channel g, for MRT weights matched to h."""
-    return power * np.abs(np.einsum("mf,mf->f", g, mrt_weights(h).w[0])) ** 2
+    return power * np.abs(np.einsum("mf,mf->f", g, mrt_weights(h[None]).w[0])) ** 2
 
 
 class TestReceivedPower:
@@ -227,7 +241,7 @@ class TestPowerMap:
     def test_shared_normalization_set(self, fast_radio, ura):
         grid, target, samples = make_map_inputs(fast_radio, ura)
         strong = power_map(grid, samples, target)
-        weak = PowerMap(grid, strong.values * 0.25, strong.target)
+        weak = PowerMap(grid, strong.values * 0.25)
         norm_strong, norm_weak = normalize_power_maps([strong, weak])
         assert norm_strong.values.max() == pytest.approx(1.0)
         assert norm_weak.values.max() == pytest.approx(0.25)
@@ -298,6 +312,29 @@ class TestGroupSpectralEfficiency:
         totals = [group_spectral_efficiency(H, PrecodingScheme.ZF, LinkBudget(p, 1e-2))[1]
                   for p in (0.1, 0.5, 1.0, 5.0, 25.0)]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+def test_schemes_call_the_module_level_precoders(monkeypatch, rng):
+    # the scheme table is read per call, so a rebound dsp.zf_weights (as the
+    # benchmark's tracer installs) sees every zero-forcing call
+    calls = []
+    original = dsp.zf_weights
+    monkeypatch.setattr(dsp, "zf_weights", lambda H: calls.append(H.shape) or original(H))
+    h = random_channel(rng, 4, 3)
+    grid = SampleGrid(origin=Position3(0.0, 0.0, 0.0), x_extent_mm=0.0, y_extent_mm=0.0)
+    power_map(grid, [CsiSample(h)], CsiSample(h), scheme=PrecodingScheme.ZF)
+    group_spectral_efficiency(h[None], PrecodingScheme.ZF, LinkBudget())
+    group_spectral_efficiency(h[None], PrecodingScheme.MRT, LinkBudget())
+    assert calls == [(1, 4, 3), (1, 4, 3)]
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("tx,noise", [(0.0, 1e-3), (-1.0, 1e-3), (1.0, -1e-3),
+                                          (math.nan, 1e-3), (math.inf, 1e-3),
+                                          (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_or_out_of_range_powers_rejected(self, tx, noise):
+        with pytest.raises(ValueError, match="finite"):
+            LinkBudget(tx, noise)
 
 
 class TestMaxServedUsers:

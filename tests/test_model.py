@@ -113,6 +113,9 @@ class TestSampleGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             SampleGrid(resolution_mm=0)
+        for resolution in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SampleGrid(resolution_mm=resolution)
         with pytest.raises(ValueError):
             SampleGrid(x_extent_mm=math.inf)
         with pytest.raises(ValueError):

@@ -109,6 +109,18 @@ class TestSusSelect:
                 res = res - b * np.vdot(b, res)
             basis.append(res / np.linalg.norm(res))
 
+    def test_zero_channels(self):
+        # sus_replay cannot be the reference here: its 0/0 projection test is
+        # nan >= alpha, which is False, so it would keep a zero channel
+        pool = pool_from_channels([np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3),
+                                   np.array([0, 2.0j, 0])])
+        # a zero channel never joins a selection that is already non-empty
+        assert sus_select(pool, alpha=1.0) == [3, 1]
+        # when every channel is zero, no basis vector is added: index order
+        zeros = pool_from_channels([np.zeros(3)] * 4)
+        assert sus_select(zeros, alpha=0.3) == [0, 1, 2, 3]
+        assert sus_select(zeros, alpha=0.3, max_users=2) == [0, 1]
+
     def test_alpha_range_enforced(self):
         pool = pool_from_channels([np.array([1.0, 0.0])])
         for bad in (0.0, -0.1, 1.5):
