@@ -16,7 +16,7 @@ from mamimo import (
     default_campaign_plan,
     iter_samples,
     load_index,
-    plan_traversal,
+    plan_full_campaign,
     simulate_campaign,
 )
 
@@ -34,13 +34,14 @@ for command in ("G28", "G0 X100 Y200", "G0 X2000 Y0", "G0 X nonsense"):
     reply = table.execute(command + "\n").strip()
     print(f"  {command!r:20s} -> {reply!r}")
 
-# Now run a small end-to-end campaign: a 5 x 5 grid, captures triggered
-# over real TCP, one binary sample file per node plus an index CSV.
+# Now run a small end-to-end campaign: a 5 x 5 grid, the table served and
+# driven over its protocol and captures triggered, both over real TCP, one
+# binary sample file per node plus an index CSV.
 radio = RadioConfig()
 topology = build_topology("ura")
 grid = SampleGrid(origin=Position3(-10.0, 1500.0, 1000.0),
                   x_extent_mm=20.0, y_extent_mm=20.0, resolution_mm=5.0)
-plan = plan_traversal(grid)
+plan = plan_full_campaign([grid])
 index = simulate_campaign(plan, topology, radio, "campaign_out",
                           topology="ura", snr_db=25.0, seed=0)
 print(f"campaign wrote {len(index)} samples to campaign_out/")

@@ -52,7 +52,7 @@ from .campaign import (
     CaptureService,
     VirtualPositioner,
     default_campaign_plan,
-    plan_traversal,
+    plan_full_campaign,
     run_campaign,
     simulate_campaign,
     trigger_capture,

@@ -7,7 +7,8 @@ to disk, and a campaign runner that drives up to four positioners over
 their grids round-robin, one in-flight trigger at a time, in the order of
 the plan's one trigger schedule, ``CampaignPlan.triggers``. Runner and
 capture service communicate only through the TCP trigger contract, so the
-service can live in another thread or another process.
+service can live in another thread or another process; the simulated rig
+drives its tables over their TCP text protocol as well.
 
 The simulation runs as fast as the TCP round trips allow and never sleeps;
 a plan's ``duration_estimate_s`` gives the live duration from the per-node
@@ -33,7 +34,6 @@ from .dataio import DatasetIndex, SampleRecord, save_index, write_sample
 from .geometry import default_positioner_grids, grid_positions
 from .model import (
     ArrayGeometry,
-    CsiSample,
     Position3,
     Positions,
     RadioConfig,
@@ -117,13 +117,9 @@ class CampaignPlan:
         return triggers
 
 
-def plan_traversal(grid: SampleGrid, pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
-    """Plan a scan of one positioner grid, visiting every node exactly once."""
-    return CampaignPlan(waypoints=[grid_positions(grid, pattern)], grids=[grid])
-
-
 def plan_full_campaign(grids, pattern: Traversal = Traversal.SERPENTINE) -> CampaignPlan:
-    """Plan a scan of several positioner grids driven in the same run."""
+    """Plan a scan of one or more positioner grids driven in the same run,
+    visiting every node of each exactly once."""
     grids = list(grids)
     return CampaignPlan(waypoints=[grid_positions(g, pattern) for g in grids], grids=grids)
 
@@ -322,13 +318,6 @@ class CaptureService(_TcpServer):
             except OSError:
                 pass
 
-    def serve_forever(self):
-        """Blocking variant for standalone use; returns on KeyboardInterrupt."""
-        try:
-            self._serve()
-        except KeyboardInterrupt:
-            pass
-
 
 def trigger_capture(address, payload) -> str:
     """One trigger round trip; returns TriggerResult.ACK / NAK / TIMEOUT.
@@ -351,48 +340,8 @@ def trigger_capture(address, payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# synthetic channel source and the campaign runner
+# the campaign runner
 # ---------------------------------------------------------------------------
-
-class SyntheticChannelSource:
-    """Generates the CSI the base station would measure at trigger time.
-
-    The sample id is the trigger's row in ``plan.triggers``, as
-    ``run_campaign`` assigns it, which names a positioner slot and waypoint;
-    the channel comes from that table's physical (error-injected) position,
-    on the pilots of the user whose id is the slot. An id outside
-    the plan, or one whose waypoint the table is not commanded to, raises.
-    Noise is keyed on the id, so a retried trigger or a rerun reproduces the
-    same bytes.
-    """
-
-    def __init__(self, geometry: ArrayGeometry, radio: RadioConfig, positioners,
-                 plan: CampaignPlan, scatterers=(), snr_db: float = float("inf"),
-                 seed: int = 0):
-        self.geometry = geometry
-        self.radio = radio
-        self.positioners = list(positioners)
-        self.plan = plan
-        self.scatterers = list(scatterers)
-        self.snr_db = snr_db
-        self.seed = seed
-
-    def __call__(self, sample_id: str) -> CsiSample:
-        if not _TRIGGER_ID_RE.fullmatch(sample_id) or int(sample_id) >= len(self.plan.triggers):
-            raise ValueError(f"trigger {sample_id!r} is not in the campaign plan")
-        slot, step = self.plan.triggers[int(sample_id)].tolist()
-        grid, target = self.plan.grids[slot], self.plan.waypoints[slot][step]
-        positioner = self.positioners[slot]
-        if positioner.position_mm != (target.x - grid.origin.x, target.y - grid.origin.y):
-            raise ValueError(f"trigger {sample_id!r} is for positioner {slot} waypoint {step}, "
-                             f"but the table is not there")
-        lx, ly = positioner.actual_position_mm
-        pos = Position3(grid.origin.x + lx, grid.origin.y + ly, grid.origin.z)
-        return chan.synthesize_sample(self.geometry, pos, self.radio, self.scatterers,
-                                      snr_db=self.snr_db, seed=self.seed,
-                                      stream=chan.STREAM_CAPTURE, user_id=slot,
-                                      sample_id=sample_id)
-
 
 def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
                  topology: str = "", radio: RadioConfig | None = None) -> DatasetIndex:
@@ -418,11 +367,9 @@ def run_campaign(plan: CampaignPlan, positioners, capture_address, out_dir,
             raise CampaignError(f"positioner {slot} failed to home: {reply.strip()!r}")
 
     records: list[SampleRecord] = []
-    # rows [edges[s], edges[s + 1]) of the schedule are step s of every active table
-    edges = np.searchsorted(plan.triggers[:, 1],
-                            np.arange(max(plan.waypoints_per_positioner, default=0) + 1))
-    for step, (start, stop) in enumerate(itertools.pairwise(edges.tolist())):
-        group = list(enumerate(plan.triggers[start:stop, 0].tolist(), start))
+    rows = enumerate(plan.triggers.tolist())  # (n, [slot, step]), grouped by step
+    for step, group in itertools.groupby(rows, key=lambda row: row[1][1]):
+        group = [(n, slot) for n, (slot, _) in group]
         # all active positioners move to this step's node concurrently ...
         for _, slot in group:
             target = plan.waypoints[slot][step]
@@ -455,15 +402,23 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
                       out_dir, topology: str = "", scatterers=(),
                       snr_db: float = float("inf"), seed: int = 0,
                       positioner_error_mm: float = 0.0, capture_address=("127.0.0.1", 0),
-                      positioner_address=None) -> DatasetIndex:
+                      positioner_address=("127.0.0.1", 0)) -> DatasetIndex:
     """End-to-end simulated campaign: positioners, capture service, runner.
 
-    Spins up an in-process capture service bound to a synthetic channel
-    source, drives the plan through it over real TCP and returns the dataset
-    index (also written as ``index.csv`` beside the sample files). When
-    ``positioner_address`` is given, the virtual tables are additionally
-    exposed over TCP (one server per table on consecutive ports, port 0
-    picks free ones) and the runner drives them through that protocol too.
+    Serves each virtual table over TCP (one server per table on consecutive
+    ports from ``positioner_address``; port 0 picks free ones) and an
+    in-process capture service at ``capture_address``, drives the plan
+    through both protocols and returns the dataset index (also written as
+    ``index.csv`` beside the sample files).
+
+    The capture source generates the CSI the base station would measure at
+    trigger time. The sample id is the trigger's row in ``plan.triggers``,
+    as ``run_campaign`` assigns it, which names a positioner slot and
+    waypoint; the channel comes from that table's physical (error-injected)
+    position, on the pilots of the user whose id is the slot. An id outside
+    the plan, or one whose waypoint the table is not commanded to, raises,
+    so the service replies NAK. Noise is keyed on the id, so a retried
+    trigger or a rerun reproduces the same bytes.
     """
     positioners = [
         VirtualPositioner(g.x_extent_mm, g.y_extent_mm,
@@ -471,18 +426,30 @@ def simulate_campaign(plan: CampaignPlan, geometry: ArrayGeometry, radio: RadioC
                           seed=(seed, chan.STREAM_JITTER, i))
         for i, g in enumerate(plan.grids)
     ]
-    source = SyntheticChannelSource(geometry, radio, positioners, plan,
-                                    scatterers=scatterers, snr_db=snr_db, seed=seed)
+    scatterers = list(scatterers)
+
+    def source(sample_id):
+        if not _TRIGGER_ID_RE.fullmatch(sample_id) or int(sample_id) >= len(plan.triggers):
+            raise ValueError(f"trigger {sample_id!r} is not in the campaign plan")
+        slot, step = plan.triggers[int(sample_id)].tolist()
+        grid, target = plan.grids[slot], plan.waypoints[slot][step]
+        positioner = positioners[slot]
+        if positioner.position_mm != (target.x - grid.origin.x, target.y - grid.origin.y):
+            raise ValueError(f"trigger {sample_id!r} is for positioner {slot} waypoint {step}, "
+                             f"but the table is not there")
+        lx, ly = positioner.actual_position_mm
+        pos = Position3(grid.origin.x + lx, grid.origin.y + ly, grid.origin.z)
+        return chan.synthesize_sample(geometry, pos, radio, scatterers, snr_db=snr_db,
+                                      seed=seed, stream=chan.STREAM_CAPTURE, user_id=slot,
+                                      sample_id=sample_id)
+
+    host, base_port = positioner_address
+    if base_port and not 0 < base_port <= 65536 - len(positioners):
+        raise ValueError(f"positioner ports from {base_port} leave 1..65535")
+    ports = (base_port + i if base_port else 0 for i in range(len(positioners)))
     with contextlib.ExitStack() as stack:
-        drivers = positioners
-        if positioner_address is not None:
-            host, base_port = positioner_address
-            if base_port and not 0 < base_port <= 65536 - len(positioners):
-                raise ValueError(f"positioner ports from {base_port} leave 1..65535")
-            ports = (base_port + i if base_port else 0 for i in range(len(positioners)))
-            servers = [stack.enter_context(PositionerServer(table, (host, port)))
-                       for table, port in zip(positioners, ports)]
-            drivers = [TcpPositioner(s.address) for s in servers]
+        servers = [stack.enter_context(PositionerServer(table, (host, port)))
+                   for table, port in zip(positioners, ports)]
         service = stack.enter_context(CaptureService(out_dir, source, address=capture_address))
-        return run_campaign(plan, drivers, service.address, out_dir,
-                            topology=topology, radio=radio)
+        return run_campaign(plan, [TcpPositioner(s.address) for s in servers], service.address,
+                            out_dir, topology=topology, radio=radio)

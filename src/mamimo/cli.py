@@ -9,9 +9,11 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -132,12 +134,11 @@ def _cmd_campaign(args) -> int:
                                      resolution_mm=args.resolution_mm)[: args.positioners]
     plan = camp.plan_full_campaign(grids, Traversal(args.pattern))
     geometry = _geometry(args)
-    address = args.capture_addr or ("127.0.0.1", 0)
     index = camp.simulate_campaign(plan, geometry, RadioConfig(), args.out,
                                    topology=args.topology, snr_db=args.snr_db,
                                    seed=args.seed, scatterers=_scatterers(args),
                                    positioner_error_mm=args.positioner_error_mm,
-                                   capture_address=address,
+                                   capture_address=args.capture_addr,
                                    positioner_address=args.positioner_addr)
     print(f"campaign complete: {len(index)} samples in {args.out} "
           f"(estimated live duration {plan.duration_estimate_s:.1f} s)")
@@ -156,14 +157,11 @@ def _cmd_serve_capture(args) -> int:
                                       sample_id=sample_id)
 
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    service = camp.CaptureService(args.out, source, address=args.addr)
-    print(f"capture service on {service.address[0]}:{service.address[1]}, "
-          f"writing to {args.out} (Ctrl-C to stop)")
-    sys.stdout.flush()
-    try:
-        service.serve_forever()
-    finally:
-        service.stop()
+    with (camp.CaptureService(args.out, source, address=args.addr) as service,
+          contextlib.suppress(KeyboardInterrupt)):
+        print(f"capture service on {service.address[0]}:{service.address[1]}, "
+              f"writing to {args.out} (Ctrl-C to stop)", flush=True)
+        threading.Event().wait()
     return 0
 
 
@@ -275,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positioner-error-mm", type=float, default=0.0)
     # string defaults from the environment are parsed only when this subcommand runs
     p.add_argument("--capture-addr", type=_parse_address,
-                   default=os.environ.get(CAPTURE_ADDR_ENV))
+                   default=os.environ.get(CAPTURE_ADDR_ENV, "127.0.0.1:0"))
     p.add_argument("--positioner-addr", type=_parse_address,
-                   default=os.environ.get(POSITIONER_ADDR_ENV),
-                   help="also expose the virtual tables over TCP and drive them "
-                        "through that protocol (port 0 picks free ports)")
+                   default=os.environ.get(POSITIONER_ADDR_ENV, "127.0.0.1:0"),
+                   help="where to serve the virtual tables, one port per table from "
+                        "this one (port 0 picks free ports)")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("serve-capture", help="run the TCP capture-trigger service")

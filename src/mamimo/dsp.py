@@ -113,18 +113,15 @@ class PowerMap:
     one or several maps by their common maximum so the peak node becomes 1.
     """
 
-    def __init__(self, grid: SampleGrid, values, normalized: bool = False):
+    def __init__(self, grid: SampleGrid, values):
         values = np.array(values, dtype=np.float64, order="C")
         if values.shape != (grid.ny, grid.nx):
             raise ValueError(f"values shape {values.shape} does not match grid {grid.ny}x{grid.nx}")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("power values must be finite and nonnegative")
-        if normalized and values.size and values.max() > 1.0 + 1e-12:
-            raise ValueError("normalized map must not exceed 1")
         values.flags.writeable = False
         self.grid = grid
         self.values = values
-        self.normalized = normalized
 
     def argmax_node(self) -> tuple[int, int]:
         """(iy, ix) of the strongest node."""
@@ -169,7 +166,7 @@ def normalize_power_maps(maps) -> list[PowerMap]:
     peak = max(float(m.values.max()) for m in maps)
     if peak <= 0.0:
         raise ValueError("all-zero power maps cannot be normalized")
-    return [PowerMap(m.grid, m.values / peak, normalized=True) for m in maps]
+    return [PowerMap(m.grid, m.values / peak) for m in maps]
 
 
 def power_map_to_csv(pmap: PowerMap, path) -> None:

@@ -50,7 +50,7 @@ def build_topology(kind: TopologyKind | str,
     octagon of radius 2500 mm around the user-area centre, each tangential
     to the octagon.
     """
-    kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
+    kind = TopologyKind(kind)
 
     if kind is TopologyKind.URA:
         offsets = (np.arange(URA_SIDE) - (URA_SIDE - 1) / 2.0) * SPACING_MM
@@ -63,21 +63,19 @@ def build_topology(kind: TopologyKind | str,
         positions = np.column_stack([xs, np.zeros(n), np.full(n, DEFAULT_HEIGHT_MM)])
         return ArrayGeometry(kind, positions)
 
-    if kind is TopologyKind.DA:
-        center = roi_center(standoff_mm=standoff_mm)
-        positions = []
-        for vertex in range(DA_SUBARRAYS):
-            theta = 2.0 * math.pi * vertex / DA_SUBARRAYS
-            vx = center.x + OCTAGON_RADIUS_MM * math.cos(theta)
-            vy = center.y + OCTAGON_RADIUS_MM * math.sin(theta)
-            # tangential direction along which the sub-array line extends
-            tx, ty = -math.sin(theta), math.cos(theta)
-            offsets = (np.arange(DA_SUBARRAY_ELEMENTS) - (DA_SUBARRAY_ELEMENTS - 1) / 2.0) * SPACING_MM
-            for off in offsets:
-                positions.append([vx + off * tx, vy + off * ty, DEFAULT_HEIGHT_MM])
-        return ArrayGeometry(kind, positions)
-
-    raise ValueError(f"unknown topology kind: {kind!r}")
+    # DA, the one kind left
+    center = roi_center(standoff_mm=standoff_mm)
+    positions = []
+    for vertex in range(DA_SUBARRAYS):
+        theta = 2.0 * math.pi * vertex / DA_SUBARRAYS
+        vx = center.x + OCTAGON_RADIUS_MM * math.cos(theta)
+        vy = center.y + OCTAGON_RADIUS_MM * math.sin(theta)
+        # tangential direction along which the sub-array line extends
+        tx, ty = -math.sin(theta), math.cos(theta)
+        offsets = (np.arange(DA_SUBARRAY_ELEMENTS) - (DA_SUBARRAY_ELEMENTS - 1) / 2.0) * SPACING_MM
+        for off in offsets:
+            positions.append([vx + off * tx, vy + off * ty, DEFAULT_HEIGHT_MM])
+    return ArrayGeometry(kind, positions)
 
 
 def grid_positions(grid: SampleGrid, order: Traversal = Traversal.RASTER) -> Positions:

@@ -73,10 +73,12 @@ def sus_select(pool: UserPool, alpha: float = 0.3, max_users: int | None = None)
     The first pick is the largest-norm user. A pick with a nonzero residual
     (its component orthogonal to the selected span) normalizes it to b,
     projects b out of every residual once and drops each candidate with
-    |g^H b| / ||g|| >= ``alpha``, and every zero channel. The survivor with
-    the largest residual norm is picked next, ties to the lowest index.
-    Selection stops at ``max_users`` or when no candidate survives; the
-    returned list is in selection order.
+    |g^H b| / ||g|| >= ``alpha``, and every zero channel. Before each pick,
+    a nonzero candidate whose residual norm is at most 1e-12 of ||g|| (the
+    rank tolerance of ``zf_weights``) is dropped: the selected span already
+    holds its channel. The survivor with the largest residual norm is picked
+    next, ties to the lowest index. Selection stops at ``max_users`` or when
+    no candidate survives; the returned list is in selection order.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -89,8 +91,11 @@ def sus_select(pool: UserPool, alpha: float = 0.3, max_users: int | None = None)
     res = g.copy()  # each user's component orthogonal to the selected span
     alive = np.ones(len(pool), dtype=bool)
     selected: list[int] = []
-    while alive.any() and len(selected) < max_users:
+    while len(selected) < max_users:
         res_norms = np.linalg.norm(res, axis=1)
+        alive &= (res_norms > 1e-12 * norms) | (norms == 0)
+        if not alive.any():
+            break
         pick = int(np.argmax(np.where(alive, res_norms, -1.0)))  # first maximum on ties
         selected.append(pick)
         alive[pick] = False

@@ -15,7 +15,7 @@ from mamimo.campaign import (
     NAK,
     TriggerResult,
     default_campaign_plan,
-    plan_traversal,
+    plan_full_campaign,
     simulate_campaign,
     trigger_capture,
     CaptureService,
@@ -235,7 +235,7 @@ def test_criterion_08_campaign_end_to_end(tmp_path):
     ura = build_topology("ura")
     grid = SampleGrid(origin=Position3(-10.0, 1500.0, 1000.0),
                       x_extent_mm=20.0, y_extent_mm=20.0, resolution_mm=5.0)
-    plan = plan_traversal(grid)
+    plan = plan_full_campaign([grid])
     out = tmp_path / "run"
     index = simulate_campaign(plan, ura, radio, out, topology="ura")
     assert len(index) == 25

@@ -103,7 +103,7 @@ def test_instance_attributes_read_by_bench_exist():
     ura, radio = small_ura(), RadioConfig()
     grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0), x_extent_mm=5.0,
                       y_extent_mm=0.0, resolution_mm=5.0)
-    plan = campaign.plan_traversal(grid)
+    plan = campaign.plan_full_campaign([grid])
     samples = [channel.los_channel(ura, p, radio) for p in plan.waypoints[0]]
     db = localization.build_fingerprints(samples)
     pool = scheduling.UserPool([scheduling.PoolUser(i, s, s.label) for i, s in enumerate(samples)])

@@ -20,7 +20,6 @@ from mamimo.campaign import (
     VirtualPositioner,
     default_campaign_plan,
     plan_full_campaign,
-    plan_traversal,
     run_campaign,
     simulate_campaign,
     trigger_capture,
@@ -57,7 +56,7 @@ def fixed_source(fast_radio, ura_small):
 class TestPlanning:
     def test_default_grid_counts_and_duration(self):
         grid = SampleGrid()
-        plan = plan_traversal(grid)
+        plan = plan_full_campaign([grid])
         assert plan.waypoints_per_positioner == [63001]
         assert plan.duration_estimate_s == pytest.approx(63001 * 0.7)
         hours = plan.duration_estimate_s / 3600.0
@@ -71,13 +70,13 @@ class TestPlanning:
 
     def test_serpentine_two_by_two_order(self):
         grid = SampleGrid(x_extent_mm=1, y_extent_mm=1, resolution_mm=1)
-        plan = plan_traversal(grid, Traversal.SERPENTINE)
+        plan = plan_full_campaign([grid], Traversal.SERPENTINE)
         assert [(p.x, p.y) for p in plan.waypoints[0]] == [(0, 0), (1, 0), (1, 1), (0, 1)]
 
     def test_raster_and_serpentine_same_nodes(self):
         grid = SampleGrid(x_extent_mm=15, y_extent_mm=10, resolution_mm=5)
-        a = plan_traversal(grid, Traversal.RASTER)
-        b = plan_traversal(grid, Traversal.SERPENTINE)
+        a = plan_full_campaign([grid], Traversal.RASTER)
+        b = plan_full_campaign([grid], Traversal.SERPENTINE)
         assert set(a.waypoints[0]) == set(b.waypoints[0])
 
     def test_waypoint_outside_work_area_rejected(self):
@@ -105,6 +104,11 @@ class TestPlanning:
         arrays = sum(w.xyz.nbytes for w in plan.waypoints)
         assert arrays == 4 * 63_001 * 3 * 8
         assert peak <= 2 * arrays
+
+    def test_grid_count_must_match_waypoint_lists(self):
+        grid = SampleGrid(x_extent_mm=10, y_extent_mm=10)
+        with pytest.raises(ValueError, match="one waypoint list per grid required"):
+            CampaignPlan(waypoints=[[]], grids=[grid, grid])
 
     def test_at_most_four_positioners(self):
         grids = default_positioner_grids(extent_mm=10.0)
@@ -370,7 +374,7 @@ class TestRunCampaign:
     def test_five_by_five_end_to_end(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(-10.0, 1500.0, 1000.0),
                           x_extent_mm=20.0, y_extent_mm=20.0, resolution_mm=5.0)
-        plan = plan_traversal(grid)
+        plan = plan_full_campaign([grid])
         index = simulate_campaign(plan, ura_small, fast_radio, tmp_path, topology="ura")
         assert len(index) == 25
         files = sorted(p.name for p in tmp_path.glob("*.bin"))
@@ -393,7 +397,7 @@ class TestRunCampaign:
     def test_labels_exact_despite_error_injection(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                           x_extent_mm=10.0, y_extent_mm=10.0, resolution_mm=5.0)
-        plan = plan_traversal(grid)
+        plan = plan_full_campaign([grid])
         index = simulate_campaign(plan, ura_small, fast_radio, tmp_path,
                                   positioner_error_mm=0.05, seed=3)
         assert [r.label for r in index.records] == plan.waypoints[0]
@@ -408,7 +412,7 @@ class TestRunCampaign:
     def test_nak_aborts_with_waypoint_identified(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                           x_extent_mm=10.0, y_extent_mm=0.0, resolution_mm=5.0)
-        plan = plan_traversal(grid)  # 3 waypoints
+        plan = plan_full_campaign([grid])  # 3 waypoints
         calls = {"n": 0}
         good = los_channel(ura_small, Position3(0.0, 1500.0, 1000.0), fast_radio)
 
@@ -450,12 +454,57 @@ class TestRunCampaign:
     def test_rerun_is_idempotent(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                           x_extent_mm=5.0, y_extent_mm=5.0, resolution_mm=5.0)
-        plan = plan_traversal(grid)
+        plan = plan_full_campaign([grid])
         simulate_campaign(plan, ura_small, fast_radio, tmp_path, seed=9)
         snapshot = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         simulate_campaign(plan, ura_small, fast_radio, tmp_path, seed=9)
         again = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert snapshot == again
+
+
+class _Refusing(VirtualPositioner):
+    """A table that answers ``reply`` to its ``refuse_at``-th command (from 0, homing included)."""
+
+    def __init__(self, grid, refuse_at, reply):
+        super().__init__(grid.x_extent_mm, grid.y_extent_mm)
+        self.commands = itertools.count()
+        self.refuse_at, self.reply = refuse_at, reply
+
+    def execute(self, command):
+        if next(self.commands) == self.refuse_at:
+            return self.reply
+        return super().execute(command)
+
+
+class TestRunnerAborts:
+    def test_table_that_fails_to_home(self, tmp_path, fixed_source):
+        plan = _two_table_plan()
+        tables = [VirtualPositioner(g.x_extent_mm, g.y_extent_mm) for g in plan.grids]
+        tables[1] = _Refusing(plan.grids[1], 0, "error:jammed\n")
+        with CaptureService(tmp_path, fixed_source) as service:
+            with pytest.raises(CampaignError, match="positioner 1 failed to home: 'error:jammed'"):
+                run_campaign(plan, tables, service.address, tmp_path)
+        assert not (tmp_path / "index.csv").exists()
+
+    def test_table_that_rejects_a_move(self, tmp_path, fixed_source):
+        plan = _two_table_plan()
+        tables = [VirtualPositioner(g.x_extent_mm, g.y_extent_mm) for g in plan.grids]
+        tables[1] = _Refusing(plan.grids[1], 2, "error:bounds\n")  # its second move
+        target = plan.waypoints[1][1]
+        with CaptureService(tmp_path, fixed_source) as service:
+            with pytest.raises(CampaignError) as exc:
+                run_campaign(plan, tables, service.address, tmp_path)
+            assert service.captures == 2  # step 0 of both tables
+        assert str(exc.value) == (f"positioner 1 rejected waypoint 1 ({target.x}, {target.y}): "
+                                  f"'error:bounds'")
+        assert not (tmp_path / "index.csv").exists()
+
+    @pytest.mark.parametrize("tables", [1, 3])
+    def test_positioner_count_must_match_the_plan(self, tmp_path, tables):
+        plan = _two_table_plan()
+        with pytest.raises(ValueError, match="one positioner per plan slot required"):
+            run_campaign(plan, [VirtualPositioner()] * tables, _closed_port(), tmp_path)
+        assert not (tmp_path / "index.csv").exists()
 
 
 def _two_table_plan():
@@ -581,7 +630,7 @@ class TestPositionerOverTcp:
     def test_campaign_through_tcp_positioner(self, tmp_path, fixed_source):
         grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                           x_extent_mm=5.0, y_extent_mm=0.0, resolution_mm=5.0)
-        plan = plan_traversal(grid)
+        plan = plan_full_campaign([grid])
         table = VirtualPositioner(grid.x_extent_mm, grid.y_extent_mm)
         with PositionerServer(table) as pos_server:
             with CaptureService(tmp_path, fixed_source) as service:

@@ -242,6 +242,29 @@ class TestServeCaptureProcess:
                 proc.terminate()
                 proc.wait(timeout=10)
 
+    def test_ctrl_c_stops_the_service_cleanly(self, tmp_path):
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        with subprocess.Popen(
+                [sys.executable, "-m", "mamimo", "serve-capture", "--addr", "127.0.0.1:0",
+                 "--out", str(tmp_path / "captures")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                banner = proc.stdout.readline()  # printed once the service accepts
+                port = int(banner.split(",")[0].rpartition(":")[2])
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=5) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert "Traceback" not in proc.stderr.read()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+
 
 class TestScheduleCli:
     def test_schedule_outputs_csv_and_summary(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ GRID = ["--extent-mm", "20", "--resolution-mm", "10"]  # 9 nodes
 def _campaign(tmp_path, seed, **kwargs):
     grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0),
                       x_extent_mm=10.0, y_extent_mm=0.0, resolution_mm=5.0)
-    plan = campaign.plan_traversal(grid)
+    plan = campaign.plan_full_campaign([grid])
     campaign.simulate_campaign(plan, small_ura(),
                                RadioConfig(total_subcarriers=48, pilot_count=4),
                                tmp_path / f"run{seed}", snr_db=20.0, seed=seed, **kwargs)

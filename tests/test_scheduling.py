@@ -121,6 +121,15 @@ class TestSusSelect:
         assert sus_select(zeros, alpha=0.3) == [0, 1, 2, 3]
         assert sus_select(zeros, alpha=0.3, max_users=2) == [0, 1]
 
+    def test_stops_at_the_channel_rank(self):
+        # past 5 users in C^5 the residuals are rounding noise, not channel
+        rng = np.random.default_rng(0)
+        channels = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        pool = pool_from_channels(channels)
+        selected = sus_select(pool, alpha=0.9)
+        assert len(selected) == 5
+        assert selected == sus_replay(list(channels), 0.9, 5)
+
     def test_alpha_range_enforced(self):
         pool = pool_from_channels([np.array([1.0, 0.0])])
         for bad in (0.0, -0.1, 1.5):
