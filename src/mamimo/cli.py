@@ -64,7 +64,7 @@ def _finite(text: str) -> float:
 
 
 def _snr(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "none", "off") else float(text)
+    return math.inf if text.lower() in ("inf", "none", "off") else _finite(text)
 
 
 def _geometry(args):
@@ -81,12 +81,13 @@ def _grid(args) -> SampleGrid:
                       resolution_mm=args.resolution_mm)
 
 
-def _add_common(parser, extent=100.0, resolution=25.0):
+def _add_common(parser, extent=100.0, resolution=25.0, origin=True):
     parser.add_argument("--topology", choices=[k.value for k in TopologyKind], default="ura")
     parser.add_argument("--extent-mm", type=float, default=extent)
     parser.add_argument("--resolution-mm", type=float, default=resolution)
-    parser.add_argument("--origin-mm", type=_parse_point, default=None,
-                        help="grid origin x,y (default: centred on x=0 at the standoff)")
+    if origin:
+        parser.add_argument("--origin-mm", type=_parse_point, default=None,
+                            help="grid origin x,y (default: centred on x=0 at the standoff)")
     parser.add_argument("--standoff-mm", type=float, default=DEFAULT_STANDOFF_MM)
     parser.add_argument("--snr-db", type=_snr, default=math.inf,
                         help="per-sample SNR in dB, or 'inf' for noiseless")
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("campaign", help="run the automated measurement campaign simulator")
-    _add_common(p, extent=20.0, resolution=5.0)
+    _add_common(p, extent=20.0, resolution=5.0, origin=False)  # the tables fix the origins
     p.add_argument("--out", required=True)
     p.add_argument("--positioners", type=int, choices=range(1, 5), default=1)
     p.add_argument("--pattern", choices=[t.value for t in Traversal], default="serpentine")

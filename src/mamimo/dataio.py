@@ -12,12 +12,16 @@ One sample per file. The container is little-endian and self-describing:
     12      8*M*F body: antenna-major little-endian complex64 entries
                   (float32 I then Q per entry)
 
-so a 64x100 sample occupies exactly 12 + 8*64*100 = 51,212 bytes. Writes
-are atomic (temp file then rename), so readers never observe a partial
-file. I/Q values are stored as float32: a file round-trips through memory
-bit-exactly, and an in-memory sample round-trips bit-exactly whenever its
-entries are float32-representable (true for anything that has been on disk
-once).
+so a 64x100 sample occupies exactly 12 + 8*64*100 = 51,212 bytes. I/Q
+values are stored as float32: a file round-trips through memory bit-exactly,
+and an in-memory sample round-trips bit-exactly whenever its entries are
+float32-representable (true for anything that has been on disk once).
+
+Every file mamimo writes goes through ``write_atomic`` (temp file, then
+rename), so readers see the old file or the new one, never a partial one;
+files get mode 0o666 less the umask. ``CSI1`` and ``FPDB`` are read back
+through ``read_header`` (magic, version, length) and ``check_size``, which
+holds the file to its declared size before any body is allocated.
 
 The index is a UTF-8 CSV ``sample_id,user_id,x_mm,y_mm,z_mm`` whose leading
 ``#`` comment lines carry the topology tag and the radio configuration in
@@ -30,10 +34,10 @@ the intended extension point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -71,25 +75,51 @@ def sample_file_size(n_antennas: int, n_subcarriers: int) -> int:
     return HEADER_SIZE + 8 * n_antennas * n_subcarriers
 
 
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to a new ``<path>.<random>.tmp``, then rename
+    it over ``path``. On any failure the temp file is removed and the previous
+    file, if any, stays. The file is created with mode 0o666 less the umask."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def read_header(fh, path, magic: bytes, version: int, header: struct.Struct) -> tuple:
+    """Read and unpack a container header that starts with a four-byte ``magic``
+    and a version byte. Checks the magic, then the version, then the length, so
+    a short file of another format is named by its magic."""
+    data = fh.read(header.size)
+    if len(data) >= 4 and data[:4] != magic:
+        raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) >= 5 and data[4] != version:
+        raise VersionMismatchError(f"{path}: version {data[4]}, expected {version}")
+    if len(data) < header.size:
+        raise TruncatedFileError(f"{path}: file shorter than the {header.size}-byte header")
+    return header.unpack(data)
+
+
+def check_size(fh, path, declared: int) -> None:
+    """Fail unless the open file is exactly ``declared`` bytes long. Callers check
+    before allocating the body, because a corrupt header may declare GiBs."""
+    size = os.fstat(fh.fileno()).st_size
+    if size != declared:
+        raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
+
+
 def write_sample(path, csi: CsiSample) -> int:
-    """Write one sample; returns the byte count. Atomic temp-then-rename."""
+    """Write one sample with ``write_atomic``; returns the byte count."""
     m, f = csi.n_antennas, csi.n_subcarriers
     if m > 0xFFFF or f > 0xFFFF:
         raise ValueError(f"matrix dimensions {m}x{f} exceed the 16-bit header fields")
-    header = _HEADER.pack(MAGIC, VERSION, 0, m, f, 0)
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(csi.h.astype("<c8").tobytes())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, _HEADER.pack(MAGIC, VERSION, 0, m, f, 0), csi.h.astype("<c8"))
     return sample_file_size(m, f)
 
 
@@ -102,23 +132,10 @@ def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSa
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_SIZE)
-        if len(header) < HEADER_SIZE:
-            raise TruncatedFileError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
-        magic, version, _, m, f, _ = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
-        body_size = 8 * m * f
-        body = fh.read(body_size)
-        if len(body) < body_size:
-            raise TruncatedFileError(
-                f"{path}: body has {len(body)} bytes, header declares {body_size}"
-            )
-        if fh.read(1):
-            raise TruncatedFileError(f"{path}: trailing bytes after declared body")
-    h = np.frombuffer(body, dtype="<c8").reshape(m, f).astype(np.complex128)
+        _, _, _, m, f, _ = read_header(fh, path, MAGIC, VERSION, _HEADER)
+        check_size(fh, path, sample_file_size(m, f))
+        h = np.empty((m, f), dtype="<c8")  # read in place; CsiSample widens it
+        fh.readinto(h)
     sample_id = path.stem if SAMPLE_ID_PATTERN.fullmatch(path.stem) else "000000"
     return CsiSample(h, label=label, user_id=user_id, sample_id=sample_id)
 
@@ -171,7 +188,7 @@ def save_index(path, index: DatasetIndex) -> None:
     for rec in index.records:
         lines.append(f"{rec.sample_id},{rec.user_id},"
                      f"{rec.label.x!r},{rec.label.y!r},{rec.label.z!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_index(path) -> DatasetIndex:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_atomic
 from .geometry import grid_positions
 from .model import CsiSample, Position3, SampleGrid
 
@@ -177,8 +178,7 @@ def power_map_to_csv(pmap: PowerMap, path) -> None:
     for node, v in zip(grid_positions(pmap.grid).xyz, db.flat):
         x, y, _ = node.tolist()
         lines.append(f"{x!r},{y!r},{float(v)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def power_map_to_pgm(pmap: PowerMap, path, db_range: tuple[float, float] = (-40.0, 0.0)) -> None:
@@ -195,9 +195,7 @@ def power_map_to_pgm(pmap: PowerMap, path, db_range: tuple[float, float] = (-40.
     unit = np.clip((db - lo) / (hi - lo), 0.0, 1.0)
     gray = np.round(unit * 65535.0).astype(">u2")
     header = f"P5\n{pmap.grid.nx} {pmap.grid.ny}\n65535\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(gray.tobytes())
+    write_atomic(path, header, gray.tobytes())
 
 
 def group_spectral_efficiency(H_group: np.ndarray,
@@ -241,17 +239,16 @@ def max_served_users(user_pool, se_threshold: float = 1.0, trials: int = 5,
         raise ValueError("user pool is empty")
     if se_threshold <= 0:
         raise ValueError("se_threshold must be positive")
-    n_antennas = pool[0].n_antennas
+    H_pool = np.stack([u.h for u in pool])  # (K, M, F), stacked once for every trial
     rng = np.random.default_rng(seed)
     scores = []
     for _ in range(trials):
         order = rng.permutation(len(pool))
         feasible = 0
-        k_max = min(len(pool), n_antennas)
+        k_max = min(len(pool), H_pool.shape[1])
         for k in range(1, k_max + 1):
-            H = np.stack([pool[i].h for i in order[:k]])
             try:
-                se, _ = group_spectral_efficiency(H, PrecodingScheme.ZF, budget)
+                se, _ = group_spectral_efficiency(H_pool[order[:k]], PrecodingScheme.ZF, budget)
             except ValueError:
                 break  # rank-deficient: adding this user is infeasible
             if np.min(se) < se_threshold:

@@ -14,17 +14,14 @@ and re-ranks the candidates on rebuilt float64 rows. The interface is minimal
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import BadMagicError, DatasetIOError, TruncatedFileError, VersionMismatchError
+from .dataio import DatasetIOError, check_size, read_header, write_atomic
 from .model import CsiSample, Position3
 
 
@@ -302,11 +299,9 @@ def leave_one_out_report(db: FingerprintDb, k: int = 4) -> LocalizationReport:
 
 def report_to_csv(report: LocalizationReport, path) -> None:
     """Export ``sample_id,err_mm`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "err_mm"])
-        for sid, err in zip(report.sample_ids, report.errors_mm):
-            writer.writerow([sid, repr(float(err))])
+    lines = ["sample_id,err_mm"]
+    lines += (f"{sid},{float(err)!r}" for sid, err in zip(report.sample_ids, report.errors_mm))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +329,19 @@ def save_fingerprints(db: FingerprintDb, path) -> None:
     width = db.features.itemsize
     header = _FPDB_HEADER.pack(FPDB_MAGIC, FPDB_VERSION, mode_index, len(tag),
                                len(db), db.features.shape[1], width)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(tag)
-        for a, dtype in ((db.features, _FEATURE_BYTES[width]), (db.norms, "<f8"),
-                         (db.labels_mm, "<f8")):
-            fh.write(np.ascontiguousarray(a, dtype=dtype).data)
+    arrays = ((db.features, _FEATURE_BYTES[width]), (db.norms, "<f8"), (db.labels_mm, "<f8"))
+    write_atomic(path, header, tag, *(np.ascontiguousarray(a, dtype=dt) for a, dt in arrays))
 
 
 def load_fingerprints(path) -> FingerprintDb:
-    path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_FPDB_HEADER.size)  # every version starts with magic and version
-        if len(header) >= 4 and header[:4] != FPDB_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {header[:4]!r}, expected {FPDB_MAGIC!r}")
-        if len(header) >= 5 and header[4] != FPDB_VERSION:
-            raise VersionMismatchError(f"{path}: version {header[4]}, expected {FPDB_VERSION}")
-        if len(header) < _FPDB_HEADER.size:
-            raise TruncatedFileError(f"{path}: file shorter than the header")
-        _, _, mode_index, tag_len, n, d, width = _FPDB_HEADER.unpack(header)
+        _, _, mode_index, tag_len, n, d, width = read_header(fh, path, FPDB_MAGIC, FPDB_VERSION,
+                                                              _FPDB_HEADER)
         if mode_index >= len(FeatureMode):
             raise FeatureModeError(f"{path}: unknown feature mode {mode_index}")
         if width not in _FEATURE_BYTES:
             raise DatasetIOError(f"{path}: features of {width} bytes, expected 4 or 8")
-        declared = _FPDB_HEADER.size + tag_len + width * n * d + 8 * 4 * n
-        size = os.fstat(fh.fileno()).st_size
-        if size != declared:  # before the body is allocated: a bad header may declare GiBs
-            raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
+        check_size(fh, path, _FPDB_HEADER.size + tag_len + width * n * d + 8 * 4 * n)
         tag = fh.read(tag_len)
         features = np.empty((n, d), dtype=_FEATURE_BYTES[width])  # read in place
         fh.readinto(features)

@@ -10,12 +10,12 @@ the same group at O(K^2) cost.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import write_atomic
 from .dsp import LinkBudget, PrecodingScheme, group_spectral_efficiency
 from .model import CsiSample, Position3
 
@@ -188,10 +188,9 @@ def evaluate_schedule(schedule: Schedule, pool: UserPool,
 
 def schedule_to_csv(schedule: Schedule, pool: UserPool, path) -> None:
     """Export ``group_id,user_id,x_mm,y_mm`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group_id", "user_id", "x_mm", "y_mm"])
-        for gid, group in enumerate(schedule.groups):
-            for i in group:
-                u = pool[i]
-                writer.writerow([gid, u.user_ref, repr(u.position.x), repr(u.position.y)])
+    lines = ["group_id,user_id,x_mm,y_mm"]
+    for gid, group in enumerate(schedule.groups):
+        for i in group:
+            u = pool[i]
+            lines.append(f"{gid},{u.user_ref},{u.position.x!r},{u.position.y!r}")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -1,9 +1,13 @@
+import math
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from mamimo import channel as chan
 from mamimo import dsp
-from mamimo.cli import main
+from mamimo.cli import build_parser, main
 from mamimo.dataio import load_index, write_sample
 from mamimo.geometry import DEFAULT_HEIGHT_MM, build_topology
 from mamimo.model import CsiSample, Position3, RadioConfig
@@ -134,6 +138,53 @@ class TestCampaignCli:
         assert exc.value.code == 2
         assert addr in capsys.readouterr().err
         assert not out.exists()
+
+    def test_origin_is_a_usage_error(self, tmp_path, capsys):
+        # the tables' origins are fixed, so campaign takes no --origin-mm
+        out = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("campaign", "--out", str(out), "--origin-mm", "500,2000")
+        assert exc.value.code == 2
+        assert "--origin-mm" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSnrFlags:
+    @pytest.mark.parametrize("argv", [("synth", "--snr-db=nan"), ("synth", "--snr-db=-inf"),
+                                      ("locate", "--query-snr-db=nan"),
+                                      ("locate", "--query-snr-db=-inf"),
+                                      ("schedule", "--snr-db=NaN")])
+    def test_nan_and_minus_inf_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        flag, value = argv[1].split("=")
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "INF", "none", "off"])
+    def test_noiseless_spellings_accepted(self, value):
+        args = build_parser().parse_args(["locate", "--out", "x", "--snr-db", value,
+                                          "--query-snr-db", value])
+        assert args.snr_db == args.query_snr_db == math.inf
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("argv", [("synth", "--extent-mm", "20", "--resolution-mm", "10"),
+                                      ("campaign", "--extent-mm", "5", "--resolution-mm", "5",
+                                       "--positioners", "2")], ids=["synth", "campaign"])
+    def test_files_get_0666_less_the_umask(self, tmp_path, argv):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            assert run_cli(*argv, "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert "index.csv" in modes and len(modes) > 2
+        assert set(modes.values()) == {0o666 & ~0o027}
 
 
 class TestCampaignTcpPositioners:

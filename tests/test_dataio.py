@@ -1,3 +1,5 @@
+import builtins
+import errno
 import struct
 import tempfile
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mamimo import dataio
 from mamimo.dataio import (
     BadMagicError,
     DatasetIndex,
@@ -22,6 +25,7 @@ from mamimo.dataio import (
     save_index,
     write_sample,
 )
+from mamimo.localization import build_fingerprints, save_fingerprints
 from mamimo.model import CsiSample, Position3, RadioConfig
 
 from conftest import random_csi_matrix
@@ -274,3 +278,46 @@ class TestStreaming:
         next(it)
         with pytest.raises(BadMagicError):
             next(it)
+
+
+class _FullDisk:
+    """A file that keeps its first ``budget`` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        data = bytes(chunk)
+        self.fh.write(data[:self.budget])
+        if len(data) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["000000.bin", "index.csv", "db.fpdb"])
+    def test_write_failing_mid_body_keeps_the_old_file(self, tmp_path, rng, monkeypatch, name):
+        index = make_dataset(tmp_path, rng)
+        samples = [read_sample(r.path, label=r.label) for r in index]
+        path = tmp_path / name
+        smaller = DatasetIndex(records=index.records[:2], topology="ura", radio=RadioConfig())
+        write = {"000000.bin": lambda: write_sample(path, CsiSample(random_csi_matrix(rng, 2, 3))),
+                 "index.csv": lambda: save_index(path, smaller),
+                 "db.fpdb": lambda: save_fingerprints(build_fingerprints(samples[:2]), path)}[name]
+        save_index(tmp_path / "index.csv", index)
+        save_fingerprints(build_fingerprints(samples), tmp_path / "db.fpdb")
+        old = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        # 24 bytes: past the CSI1 header and into the body, past the FPDB header and tag
+        monkeypatch.setattr(dataio, "open", lambda file, mode="r", **kw:
+                            _FullDisk(builtins.open(file, mode, **kw), 24), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write()
+        assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == listing

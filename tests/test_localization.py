@@ -534,15 +534,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_fingerprints(path)
 
-    @pytest.mark.parametrize("n, d", [(400_000, 12_800), (2**32 - 1, 2**32 - 1)],
-                             ids=["19GiB", "max-counts"])
-    def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path, n, d):
-        path = tmp_path / "db.fpdb"
-        path.write_bytes(struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, n, d, 4).ljust(73, b"\0"))
+    @pytest.mark.parametrize("name, header", [
+        ("db.fpdb", struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, 400_000, 12_800, 4)),
+        ("db.fpdb", struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, 2**32 - 1, 2**32 - 1, 4)),
+        ("000000.bin", struct.pack("<4sBBHHH", b"CSI1", 1, 0, 65535, 65535, 0)),  # 32 GiB
+    ], ids=["19GiB", "max-counts", "csi1-max-dims"])
+    def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path, name,
+                                                                        header):
+        path = tmp_path / name
+        path.write_bytes(header.ljust(73, b"\0"))
+        load = load_fingerprints if name.endswith(".fpdb") else read_sample
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedFileError, match="db.fpdb"):
-                load_fingerprints(path)
+            with pytest.raises(TruncatedFileError, match=name):
+                load(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
