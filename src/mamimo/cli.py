@@ -71,12 +71,14 @@ def _geometry(args):
     return build_topology(args.topology, standoff_mm=getattr(args, "standoff_mm", DEFAULT_STANDOFF_MM))
 
 
+def _point(xy_or_xyz) -> Position3:
+    """An x,y[,z] option as a position; z defaults to the standard height."""
+    return Position3(*(*xy_or_xyz, DEFAULT_HEIGHT_MM)[:3])
+
+
 def _grid(args) -> SampleGrid:
-    if args.origin_mm is not None:
-        ox, oy = args.origin_mm[0], args.origin_mm[1]
-    else:
-        ox, oy = -args.extent_mm / 2.0, args.standoff_mm
-    return SampleGrid(origin=Position3(ox, oy, DEFAULT_HEIGHT_MM),
+    origin = args.origin_mm or (-args.extent_mm / 2.0, args.standoff_mm)
+    return SampleGrid(origin=_point(origin),
                       x_extent_mm=args.extent_mm, y_extent_mm=args.extent_mm,
                       resolution_mm=args.resolution_mm)
 
@@ -87,7 +89,8 @@ def _add_common(parser, extent=100.0, resolution=25.0, origin=True):
     parser.add_argument("--resolution-mm", type=float, default=resolution)
     if origin:
         parser.add_argument("--origin-mm", type=_parse_point, default=None,
-                            help="grid origin x,y (default: centred on x=0 at the standoff)")
+                            help="grid origin x,y[,z] in mm (default: centred on x=0 at the "
+                                 "standoff, z at the standard height)")
     parser.add_argument("--standoff-mm", type=float, default=DEFAULT_STANDOFF_MM)
     parser.add_argument("--snr-db", type=_snr, default=math.inf,
                         help="per-sample SNR in dB, or 'inf' for noiseless")
@@ -149,8 +152,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_serve_capture(args) -> int:
     geometry = _geometry(args)
     radio = RadioConfig()
-    pos = Position3(args.position[0], args.position[1],
-                    args.position[2] if len(args.position) == 3 else DEFAULT_HEIGHT_MM)
+    pos = _point(args.position)
 
     def source(sample_id):
         return chan.synthesize_sample(geometry, pos, radio, snr_db=args.snr_db, seed=args.seed,
@@ -170,8 +172,7 @@ def _cmd_powermap(args) -> int:
     geometry = _geometry(args)
     radio = RadioConfig()
     grid = _grid(args)
-    tz = args.target[2] if len(args.target) == 3 else DEFAULT_HEIGHT_MM
-    target_pos = Position3(args.target[0], args.target[1], tz)
+    target_pos = _point(args.target)
     target = chan.synthesize_sample(geometry, target_pos, radio, scatterers=_scatterers(args),
                                     snr_db=args.snr_db, seed=args.seed, stream=chan.STREAM_TARGET)
     samples = _synth_samples(args, grid, chan.STREAM_GRID, args.snr_db)

@@ -24,8 +24,10 @@ through ``read_header`` (magic, version, length) and ``check_size``, which
 holds the file to its declared size before any body is allocated.
 
 The index is a UTF-8 CSV ``sample_id,user_id,x_mm,y_mm,z_mm`` whose leading
-``#`` comment lines carry the topology tag and the radio configuration in
-``key = value`` form.
+``#`` comment lines carry the row count, the topology tag and the radio
+configuration in ``key = value`` form. ``# rows = N`` comes first; an index
+whose rows disagree with it (a copy cut short) is refused, and an index
+without it loads as it stands.
 
 Externally published CSI collections ship in their own layouts; importing
 one means writing a converter that emits this container and index, which is
@@ -179,8 +181,8 @@ def radio_config_from_mapping(values: dict[str, str]) -> RadioConfig:
 
 
 def save_index(path, index: DatasetIndex) -> None:
-    """Write the index CSV with config comments, LF line endings."""
-    lines = [f"# topology = {index.topology}"]
+    """Write the index CSV with the row count and config comments, LF line endings."""
+    lines = [f"# rows = {len(index.records)}", f"# topology = {index.topology}"]
     if index.radio is not None:
         for f in fields(RadioConfig):
             lines.append(f"# {f.name} = {getattr(index.radio, f.name)!r}")
@@ -196,7 +198,8 @@ def load_index(path) -> DatasetIndex:
 
     Fails on duplicate sample ids (naming the id), malformed rows (a bad
     sample id or a user id outside [0, MAX_USERS) among them), a ``#`` line
-    that is not ``key = value``, bad radio values and missing sample files.
+    that is not ``key = value``, bad radio values, missing sample files and a
+    ``# rows`` count that the rows do not match.
     """
     path = Path(path)
     base = path.parent
@@ -235,6 +238,9 @@ def load_index(path) -> DatasetIndex:
             if not record.path.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: missing sample file {record.path}")
             records.append(record)
+    declared = config.get("rows", str(len(records)))
+    if declared != str(len(records)):
+        raise IndexFormatError(f"{path}: the index declares {declared} rows, found {len(records)}")
     has_radio = any(f.name in config for f in fields(RadioConfig))
     try:
         radio = radio_config_from_mapping(config) if has_radio else None

@@ -2,14 +2,14 @@
 
 A fingerprint database maps deterministic CSI feature vectors to the
 positions they were recorded at; a query CSI is located by averaging the
-labels of its nearest fingerprints. The database stores each sample's I/Q as
-one row scaled by a power of two, with a float64 row norm: float32 rows for
-samples read from CSI1 files (half the bytes of their float64 features, which
-the rows rebuild bit for bit), float64 rows for in-memory complex128 samples.
-One blocked kernel finds the neighbours for a single query, a batch or a
-leave-one-out pass alike: it screens with a product in the store's precision
-and re-ranks the candidates on rebuilt float64 rows. The interface is minimal
-(CSI in, position out) so a learned model can replace the matcher.
+labels of its nearest fingerprints. Every sample, stored or queried, becomes
+one row of I/Q scaled by a power of two plus a float64 row norm: float32 rows
+for samples read from CSI1 files (half the bytes of their float64 features,
+which the rows rebuild bit for bit), float64 rows for in-memory samples and
+for all queries. One blocked kernel reads that one format for a single query,
+a batch or a leave-one-out pass alike: it screens with a product in the
+store's precision and re-ranks the candidates on rebuilt float64 rows. The
+interface is minimal (CSI in, position out) so a learned model can replace it.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ def extract_features(csi: CsiSample) -> np.ndarray:
     parts of all entries stacked and divided by the Frobenius norm (length
     2*M*F, unit norm, invariant to positive scaling)."""
     h = csi.h
-    vec, norm = np.concatenate([h.real.ravel(), h.imag.ravel()]), np.linalg.norm(h)
-    if norm == 0.0:
-        raise ValueError("cannot extract features from an all-zero CSI matrix")
-    return vec / norm
+    with np.errstate(over="ignore"):  # an overflowing |h|^2 is refused below
+        norm = np.linalg.norm(h)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"cannot extract features from a CSI matrix of norm {norm}")
+    return np.concatenate([h.real.ravel(), h.imag.ravel()]) / norm
 
 
 class FingerprintDb:
@@ -88,47 +89,53 @@ class FingerprintDb:
         return self.features.shape[0]
 
 
-def _labelled(samples, labels: list, ids: list):
-    """The samples, each one's label and id appended to ``labels`` and ``ids``."""
-    for sample in samples:
-        if sample.label is None:
-            raise ValueError(f"sample {sample.sample_id!r} has no position label")
-        labels.append(sample.label.as_array())
-        ids.append(sample.sample_id)
-        yield sample
+def _rows(samples, dtype=None):
+    """Stream the samples into one matrix of stored rows (see FingerprintDb) and
+    return ``(rows, norms, labels, ids)``. With ``dtype=None`` the first sample
+    picks the dtype: float32 when it is complex64 exact, as every sample read from
+    a CSI1 file is (later samples are then rounded to complex64), float64 otherwise."""
+    norms, labels, ids = [], [], []
+    it = iter(samples)
+    first = next(it, None)
+    if first is None:
+        return np.empty((0, 0), dtype or np.float32), np.empty(0), labels, ids
+
+    def stored():
+        for sample in itertools.chain([first], it):
+            h, norm = sample.h, np.linalg.norm(sample.h)
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"sample {sample.sample_id!r}: cannot store CSI of norm {norm}")
+            e = -int(np.frexp(norm)[1])
+            row = np.empty(2 * h.size, dtype=dtype)  # float32 rounds h to complex64
+            np.ldexp(h.real, e, out=row[:h.size].reshape(h.shape), casting="same_kind")
+            np.ldexp(h.imag, e, out=row[h.size:].reshape(h.shape), casting="same_kind")
+            norms.append(float(np.ldexp(norm, e)))
+            labels.append(sample.label)
+            ids.append(sample.sample_id)
+            yield row
+
+    # an entry beyond complex64 range is not exact; an overflowing |h|^2 is refused
+    with np.errstate(over="ignore"):
+        if dtype is None:
+            exact = np.array_equal(first.h.astype(np.complex64), first.h)
+            dtype = np.float32 if exact else np.float64
+        rows = np.fromiter(stored(), dtype=(dtype, 2 * first.h.size))
+    return rows, np.array(norms), labels, ids
+
+
+def _labels_mm(labels, ids) -> np.ndarray:
+    """The (N, 3) label positions in mm; an unlabelled sample is named by its id."""
+    if None in labels:
+        raise ValueError(f"sample {ids[labels.index(None)]!r} has no position label")
+    return np.array([label.as_array() for label in labels]).reshape(len(labels), 3)
 
 
 def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
                        topology: str = "") -> FingerprintDb:
     """Build a database from labelled samples, streaming each stored row into one
-    matrix. The first sample picks the store: float32 when it is complex64 exact,
-    as every sample read from a CSI1 file is (later samples are then rounded to
-    complex64), float64 otherwise."""
-    labels, norms = [], []
-    it = _labelled(samples, labels, [])
-    first = next(it, None)
-    if first is None:
-        features = np.empty((0, 0), dtype=np.float32)
-    else:
-        with np.errstate(over="ignore"):  # an entry beyond complex64 range is not exact
-            exact = np.array_equal(first.h.astype(np.complex64), first.h)
-        dtype = np.float32 if exact else np.float64
-
-        def rows():  # [Re h, Im h] and |h| times the 2^e that puts |h| in [0.5, 1)
-            for h in (sample.h for sample in itertools.chain([first], it)):
-                norm = np.linalg.norm(h)
-                if not 0.0 < norm < np.inf:
-                    raise ValueError(f"cannot store a CSI matrix of norm {norm}")
-                e = -int(np.frexp(norm)[1])
-                row = np.empty(2 * h.size, dtype=dtype)  # float32 rounds h to complex64
-                np.ldexp(h.real, e, out=row[:h.size].reshape(h.shape), casting="same_kind")
-                np.ldexp(h.imag, e, out=row[h.size:].reshape(h.shape), casting="same_kind")
-                norms.append(float(np.ldexp(norm, e)))
-                yield row
-
-        features = np.fromiter(rows(), dtype=(dtype, 2 * first.h.size))
-    labels_mm = np.array(labels, dtype=np.float64).reshape(len(labels), 3)
-    return FingerprintDb(features, norms, labels_mm, cfg, topology)
+    matrix whose dtype the first sample picks (see ``_rows``)."""
+    features, norms, labels, ids = _rows(samples)
+    return FingerprintDb(features, norms, _labels_mm(labels, ids), cfg, topology)
 
 
 # Distances per query block (64 MiB; a 2,601-node leave-one-out is one block),
@@ -136,71 +143,57 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
 _BLOCK_ELEMENTS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 23, 1 << 17, 2048
 
 
-def _nearest(db: FingerprintDb, q: np.ndarray | None, k: int):
-    """(B, k) indices and distances of the k nearest fingerprints to each (B, D)
-    float64 query row; ``q=None`` is leave-one-out, each stored row a query that
-    never matches itself.
+def _nearest(db: FingerprintDb, q, k: int):
+    """(B, k) indices and distances of the k nearest fingerprints to each query:
+    ``q = (rows, norms)`` as ``_rows`` builds them, query i being rows[i] / norms[i],
+    or ``None`` for leave-one-out, each stored row a query that never matches itself.
 
     One screen serves both. It sums products of query rows and stored rows in the
     store's dtype (unit roundoff u, smallest normal t) over L-feature chunks of
-    column views; a query row is scaled by a power of two s_q to a norm below 1
-    and cast to that dtype once, while leave-one-out reads the store itself
-    (s_q = 1 / norms). The float64 estimate of |x|^2 - 2 q.x + |q|^2 divides the
-    product by the rows' scales. Candidates lie within a margin of the k-th
-    smallest estimate that no true or direct-form neighbour exceeds:
-    4 gamma_{D+8} (max|x| + |q|)^2 for float64 rounding, rebuilt rows and scales
-    included (gamma_n = n eps / (1 - n eps)); 4 alpha max|x| |q| for the product,
-    alpha = gamma_m(u) (1 + u)^2 with m = L + ceil(D / L), plus 2u for a query's
-    own cast; and 32 D t s_q / min(norms) for underflow. The direct
-    ``norm(x - q)`` re-ranks stably over rows rebuilt as ``features / norms``,
-    each leave-one-out pair once: ties go to the lower database index.
+    column views, casting a query chunk only when its dtype differs. With
+    s = 1 / norms on either side, the float64 estimate |x|^2 - 2 q.x multiplies the
+    product by s_q s_x; it is |x - q|^2 less |q|^2, the same for all of a query's
+    candidates. Rebuilt rows have norms of at most top = max(max|x|, 1 + gamma_{D+8}),
+    as a query row rebuilds to unit norm up to rounding (gamma_n = n eps / (1 - n eps)).
+    Candidates lie within a margin of the k-th smallest estimate that no true or
+    direct-form neighbour exceeds: 16 gamma_{D+8} top^2 for float64 rounding, rebuilt
+    rows and scales included; 4 alpha top^2 for the product, alpha = gamma_m(u) (1 + u)^2
+    with m = L + ceil(D / L), plus 2u for a cast query chunk; and 32 D t s_q / min(norms)
+    for underflow. The direct ``norm(x - q)`` re-ranks stably over rows rebuilt as
+    ``rows / norms`` on both sides, each leave-one-out pair once: ties go to the
+    lower database index.
     """
     y, norms, self_join = db.features, db.norms, q is None
-    n, dim = y.shape
-    nq = n if self_join else len(q)
-    if not 1 <= k <= n - self_join or (not self_join and q.shape[1] != dim):
+    qy, qnorms = (y, norms) if self_join else q
+    (n, dim), nq = y.shape, len(qy)
+    if not 1 <= k <= n - self_join or qy.shape[1] != dim:
         raise ValueError(f"need k in [1, {n - self_join}] and {dim} query features, "
-                         f"got k={k} and {dim if self_join else q.shape[1]}")
-    sqx = db.sqnorms
-    if self_join:
-        sqq, scale = sqx, 1.0 / norms
-    else:
-        sqq = np.einsum("bd,bd->b", q, q)
-        if not np.isfinite(4.0 * sqq.max(initial=0.0)):
-            raise ValueError("query features too large: 4 |q|^2 must be finite")
-        scale = np.ldexp(1.0, np.frexp(np.sqrt(sqq))[1])  # q / scale has norms below 1
+                         f"got k={k} and {qy.shape[1]}")
+    sqx, scale, cast = db.sqnorms, 1.0 / qnorms, qy.dtype != y.dtype
     info, eps = np.finfo(y.dtype), np.finfo(np.float64).eps
     width = max(1, min(_SCREEN_FEATURES, dim))
     m, g64, u = width + -(-dim // width), (dim + 8) * eps, info.eps / 2
-    alpha = m * u / (1.0 - m * u) * (1.0 + u) ** 2 + (0.0 if self_join else 2.0 * u)
-    top, qn = np.sqrt(sqx.max()), np.sqrt(sqq)
-    margin = (4.0 * g64 / (1.0 - g64) * (top + qn) ** 2 + 4.0 * alpha * top * qn
+    alpha = m * u / (1.0 - m * u) * (1.0 + u) ** 2 + (2.0 * u if cast else 0.0)
+    top = max(np.sqrt(sqx.max()), 1.0 + g64)
+    margin = (16.0 * g64 / (1.0 - g64) * top ** 2 + 4.0 * alpha * top ** 2
               + 32.0 * dim * float(info.tiny) * scale / norms.min())
     rows = max(1, min(_BLOCK_ELEMENTS // n, nq))
     gram, part = np.empty((2, rows, n), dtype=y.dtype)  # the block's sum and one chunk's
-    if not self_join:
-        cast, unscale = np.empty(rows * width, dtype=y.dtype), 1.0 / scale
     weight = -2.0 / norms
     d2, ranked = np.empty((2, min(64, rows), n))  # thresholded 64 rows at a time
     r, c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for s in range(0, nq, rows):
         b = min(rows, nq - s)
         for f in range(0, dim, width):
-            if self_join:
-                a = y[s:s + b, f:f + width]
-            else:
-                a = cast[:b * min(width, dim - f)].reshape(b, -1)
-                np.multiply(q[s:s + b, f:f + width], unscale[s:s + b, None], out=a,
-                            casting="same_kind")
+            a = qy[s:s + b, f:f + width].astype(y.dtype, copy=False)  # a view unless cast
             np.matmul(a, y[:, f:f + width].T, out=(part if f else gram)[:b])  # syrk if one block
             if f:
                 gram[:b] += part[:b]
         for i in range(s, s + b, 64):
-            t = d2[:min(64, s + b - i)]  # -2 q.x + |x|^2 + |q|^2 in float64
+            t = d2[:min(64, s + b - i)]  # |x|^2 - 2 q.x in float64
             np.multiply(gram[i - s:i - s + len(t)], weight, out=t)
             t *= scale[i:i + len(t), None]
             t += sqx
-            t += sqq[i:i + len(t), None]
             if self_join:
                 t[np.arange(len(t)), np.arange(i, i + len(t))] = np.inf
             np.copyto(ranked[:len(t)], t)
@@ -214,20 +207,18 @@ def _nearest(db: FingerprintDb, q: np.ndarray | None, k: int):
         pair, inverse = np.unique(np.minimum(r, c) * n + np.maximum(r, c), return_inverse=True)
         qr, xc = np.divmod(pair, n)
     pairs = max(1, _GATHER_ELEMENTS // dim)
-    exact, raw = np.empty(len(xc)), np.empty((min(pairs, len(xc)), dim), y.dtype)
-    gather = np.empty(raw.shape)
-    rebuilt = np.empty(raw.shape) if self_join else None
+    exact, gather = np.empty(len(xc)), np.empty((min(pairs, len(xc)), dim))
+    raw, rebuilt = np.empty(gather.shape, y.dtype), np.empty((min(len(gather), nq), dim))
+    qraw = rebuilt if cast else raw  # a buffer in the query rows' dtype
     for p in range(0, len(xc), pairs):  # each query row broadcast against its candidates
         rp, cp = qr[p:p + pairs], xc[p:p + pairs]
         diff = np.divide(np.take(y, cp, axis=0, out=raw[:len(rp)], mode="clip"),
                          norms[cp, None], out=gather[:len(rp)])  # the candidates, rebuilt
         starts = np.flatnonzero(np.diff(rp, prepend=-1))
-        queries, heads = q, rp[starts]
-        if self_join:  # this chunk's query rows, rebuilt in one batch
-            queries = np.divide(np.take(y, heads, axis=0, out=raw[:len(heads)], mode="clip"),
-                                norms[heads, None], out=rebuilt[:len(heads)])
-            heads = np.arange(len(heads))
-        for j, a, z in zip(heads.tolist(), starts.tolist(), starts[1:].tolist() + [len(rp)]):
+        heads = rp[starts]  # this chunk's query rows, rebuilt in one batch
+        queries = np.divide(np.take(qy, heads, axis=0, out=qraw[:len(heads)], mode="clip"),
+                            qnorms[heads, None], out=rebuilt[:len(heads)])
+        for j, (a, z) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(rp)])):
             diff[a:z] -= queries[j]
         np.multiply(diff, diff, out=diff)  # then np.linalg.norm's own sqrt(sum), in place
         np.sqrt(np.add.reduce(diff, axis=1), out=exact[p:p + len(rp)])
@@ -247,8 +238,8 @@ def _weighted_label_mean(db: FingerprintDb, idx, dists) -> np.ndarray:
 def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5) -> Position3:
     """Estimate the query position as the inverse-distance weighted mean of the
     positions of its k nearest fingerprints in feature space (ties by database order)."""
-    q = extract_features(query)[None, :]
-    return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, q, k))[0]))
+    rows, norms, _, _ = _rows([query], np.float64)
+    return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, (rows, norms), k))[0]))
 
 
 @dataclass(frozen=True)
@@ -275,17 +266,13 @@ class LocalizationReport:
 
 
 def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> LocalizationReport:
-    """Locate every labelled test sample, as one batch of float64 extract_features
-    rows, and aggregate the errors. The samples stream: only their features,
-    labels and ids are kept."""
-    labels, ids = [], []
-    it = _labelled(test_samples, labels, ids)
-    first = next(it, None)
-    if first is None:
+    """Locate every labelled test sample, as one batch of float64 stored rows, and
+    aggregate the errors. The samples stream: only their rows, labels and ids
+    are kept."""
+    rows, norms, labels, ids = _rows(test_samples, np.float64)
+    if not ids:
         raise ValueError("test set is empty")
-    q = np.fromiter(map(extract_features, itertools.chain([first], it)),
-                    dtype=(np.float64, 2 * first.h.size))
-    d = _weighted_label_mean(db, *_nearest(db, q, k)) - np.array(labels)
+    d = _weighted_label_mean(db, *_nearest(db, (rows, norms), k)) - _labels_mm(labels, ids)
     errors = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)  # as Position3.distance_mm
     return LocalizationReport.from_errors(errors, ids)
 

@@ -50,6 +50,17 @@ class TestSynthAndInspect:
         assert len(index) == 9
         assert index.topology == "ura"
 
+    def test_origin_z_sets_the_grid_height(self, tmp_path, capsys):
+        outs = [tmp_path / origin for origin in ("0,1500", "0,1500,500")]
+        for out in outs:
+            assert run_cli("synth", "--extent-mm", "10", "--resolution-mm", "5",
+                           "--origin-mm", out.name, "--out", str(out)) == 0
+        xy, xyz = (load_index(out / "index.csv") for out in outs)
+        assert {r.label.z for r in xy} == {DEFAULT_HEIGHT_MM}
+        assert {r.label.z for r in xyz} == {500.0}
+        assert [(r.label.x, r.label.y) for r in xyz] == [(r.label.x, r.label.y) for r in xy]
+        assert len({(out / "000000.bin").read_bytes() for out in outs}) == 2
+
     def test_synth_refused_grid_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "badgrid"
         assert run_cli("synth", "--extent-mm", "1.2", "--resolution-mm", "0.4",

@@ -166,6 +166,17 @@ class TestIndex:
         assert loaded.radio is None
         assert loaded.topology == "ura" and len(loaded) == 2
 
+    def test_index_cut_at_a_line_boundary_rejected(self, tmp_path, rng):
+        save_index(tmp_path / "index.csv", make_dataset(tmp_path, rng))
+        path = tmp_path / "index.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0] == "# rows = 5\n"
+        path.write_text("".join(lines[:-2]))
+        with pytest.raises(IndexFormatError, match=r"index\.csv: .* declares 5 rows, found 3"):
+            load_index(path)
+        path.write_text("".join(lines[1:-2]))  # no count: loads as it stands
+        assert len(load_index(path)) == 3
+
     def test_empty_index(self, tmp_path):
         path = tmp_path / "index.csv"
         path.write_text("sample_id,user_id,x_mm,y_mm,z_mm\n")

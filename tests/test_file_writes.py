@@ -2,9 +2,10 @@
 
 A writer of its own brings back what ``write_atomic`` rules out: a file
 truncated in place, so that a failed write leaves part of a file (an
-``index.csv`` cut at a line boundary loads as a smaller data set), and files
-of one data set created with different modes. So no module under
-``src/mamimo/`` may open a file for writing outside ``write_atomic``.
+``index.csv`` without its ``# rows`` count, cut at a line boundary, loads as
+a smaller data set), and files of one data set created with different modes.
+So no module under ``src/mamimo/`` may open a file for writing outside
+``write_atomic``.
 """
 
 import ast

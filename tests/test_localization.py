@@ -56,6 +56,11 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             extract_features(CsiSample(np.zeros((2, 2))))
 
+    def test_overflowing_squared_norm_rejected(self):
+        # |h|^2 = 4e320 overflows; the features were once all zeros
+        with pytest.raises(ValueError, match="norm inf"):
+            extract_features(CsiSample(1e160 * np.ones((2, 2))))
+
     @given(scale=st.floats(0.01, 100.0))
     @settings(max_examples=20, deadline=None)
     def test_scale_invariance_property(self, scale):
@@ -378,7 +383,7 @@ def nudged(h32, rng, ulps):
 
 def float32_hard_store(case, radio, geometry):
     """A float32 store on which a float32 product alone misranks neighbours, and
-    the query scale of the case."""
+    the CSI scale of the case's queries."""
     rng = np.random.default_rng(21)
     if case == "los_grid_1mm":
         grid = SampleGrid(origin=Position3(-5, 1500, 1000), x_extent_mm=10,
@@ -392,6 +397,12 @@ def float32_hard_store(case, radio, geometry):
     return db, {"scaled_2^100": 2.0 ** 100, "scaled_2^-100": 2.0 ** -100}.get(case, 1.0)
 
 
+def as_csi(features):
+    """Each feature row [Re h, Im h] as the (1, D / 2) CSI it stands for."""
+    half = features.shape[1] // 2
+    return [CsiSample((f[:half] + 1j * f[half:])[None, :]) for f in features]
+
+
 class TestNeighbourKernel:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("case", ["near_and_exact_duplicates", "scaled_2^100",
@@ -400,20 +411,34 @@ class TestNeighbourKernel:
         db, scale = float32_hard_store(case, fast_radio, ura)
         assert db.features.dtype == np.float32
         x = rebuilt(db)
-        q = scale * (x[::3] + 1e-10 * np.random.default_rng(4).standard_normal(x[::3].shape))
-        for queries in [None, q] + [q[j:j + 1] for j in range(len(q))]:  # leave-one-out, batch, single
+        near = x[::3] + 1e-10 * np.random.default_rng(4).standard_normal(x[::3].shape)
+        rows, norms, _, _ = localization._rows(as_csi(scale * near), np.float64)
+        unscaled = localization._rows(as_csi(near), np.float64)
+        assert rows.tobytes() == unscaled[0].tobytes()
+        assert norms.tobytes() == unscaled[1].tobytes()
+        q = rows / norms[:, None]
+        batches = [(None, None), ((rows, norms), q)]  # leave-one-out, batch, then singles
+        batches += [((rows[j:j + 1], norms[j:j + 1]), q[j:j + 1]) for j in range(len(q))]
+        for queries, expected in batches:
             idx, dist = localization._nearest(db, queries, k)
-            expected_idx, expected_dist = direct_nearest(x, queries, k)
+            expected_idx, expected_dist = direct_nearest(x, expected, k)
             assert np.array_equal(idx, expected_idx)
             assert np.array_equal(dist, expected_dist)
 
-    def test_squared_norm_overflow_rejected(self, rng):
+    @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
+    def test_query_rows_rebuild_extract_features_bit_for_bit(self, rng, precision):
+        h = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+        query = CsiSample(h.astype(precision))
+        rows, norms, _, _ = localization._rows([query], np.float64)
+        assert rows.dtype == np.float64
+        assert (rows[0] / norms[0]).tobytes() == extract_features(query).tobytes()
+
+    def test_overflowing_query_rejected(self, rng):
+        # |h|^2 overflows: refused, where a zero feature row once gave a wrong position
         db = build_fingerprints(random_samples(rng, 6, 2, 4))
-        x = rebuilt(db)
-        assert np.array_equal(localization._nearest(db, 1e150 * x[:2], 2)[0],
-                              direct_nearest(x, 1e150 * x[:2], 2)[0])
-        with pytest.raises(ValueError, match="too large"):
-            localization._nearest(db, 1e160 * x[:1], 1)
+        h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        with pytest.raises(ValueError, match="norm inf"):
+            knn_locate(db, CsiSample(1e160 * h), k=2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
@@ -457,6 +482,19 @@ class TestNeighbourKernel:
                     for q in queries]
         assert report.errors_mm.tolist() == expected
         assert report.sample_ids == tuple(q.sample_id for q in queries)
+
+    def test_complex64_first_query_does_not_round_the_batch(self, fast_radio, ura_small):
+        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
+                          y_extent_mm=40, resolution_mm=10)
+        db = build_fingerprints(as_complex64(grid_samples(ura_small, fast_radio, grid)))
+        queries = [add_noise(los_channel(ura_small, Position3(-17.0 + 3.3 * i, 1503.0 + 2.9 * i,
+                                                              1000.0), fast_radio,
+                                         sample_id=f"{i:06d}"), NoiseSpec(15.0, seed=i))
+                   for i in range(6)]
+        queries = as_complex64(queries[:1]) + queries[1:]
+        report = evaluate_localizer(db, queries, k=3)
+        assert report.errors_mm.tolist() == [knn_locate(db, q, k=3).distance_mm(q.label)
+                                             for q in queries]
 
     @pytest.mark.parametrize("store", [as_complex64, list], ids=["float32", "float64"])
     def test_blocks_and_gather_chunks_change_nothing(self, fast_radio, ura_small, monkeypatch,
