@@ -6,10 +6,14 @@ labels of its nearest fingerprints. Every sample, stored or queried, becomes
 one row of I/Q scaled by a power of two plus a float64 row norm: float32 rows
 for samples read from CSI1 files (half the bytes of their float64 features,
 which the rows rebuild bit for bit), float64 rows for in-memory samples and
-for all queries. One blocked kernel reads that one format for a single query,
-a batch or a leave-one-out pass alike: it screens with a product in the
-store's precision and re-ranks the candidates on rebuilt float64 rows. The
-interface is minimal (CSI in, position out) so a learned model can replace it.
+for all queries. Rows are written in place into a matrix that grows by an
+eighth of itself and is trimmed to its rows. One kernel reads that one format
+for a single query, a batch or a leave-one-out pass alike: it screens panels
+of queries with a product in the store's precision, keeping each query's k-th
+smallest estimate so far, and re-ranks the candidates on rebuilt float64 rows.
+Leave-one-out multiplies each pair of panels once, and no mode holds an N by
+N matrix. The interface is minimal (CSI in, position out) so a learned model
+can replace it.
 """
 
 from __future__ import annotations
@@ -93,33 +97,37 @@ def _rows(samples, dtype=None):
     """Stream the samples into one matrix of stored rows (see FingerprintDb) and
     return ``(rows, norms, labels, ids)``. With ``dtype=None`` the first sample
     picks the dtype: float32 when it is complex64 exact, as every sample read from
-    a CSI1 file is (later samples are then rounded to complex64), float64 otherwise."""
+    a CSI1 file is (later samples are then rounded to complex64), float64 otherwise.
+    Every sample must have the first one's shape. Each row is written in place;
+    the matrix grows by an eighth of itself and is trimmed to its rows at the end."""
     norms, labels, ids = [], [], []
     it = iter(samples)
     first = next(it, None)
     if first is None:
         return np.empty((0, 0), dtype or np.float32), np.empty(0), labels, ids
-
-    def stored():
-        for sample in itertools.chain([first], it):
-            h, norm = sample.h, np.linalg.norm(sample.h)
-            if not 0.0 < norm < np.inf:
-                raise ValueError(f"sample {sample.sample_id!r}: cannot store CSI of norm {norm}")
-            e = -int(np.frexp(norm)[1])
-            row = np.empty(2 * h.size, dtype=dtype)  # float32 rounds h to complex64
-            np.ldexp(h.real, e, out=row[:h.size].reshape(h.shape), casting="same_kind")
-            np.ldexp(h.imag, e, out=row[h.size:].reshape(h.shape), casting="same_kind")
-            norms.append(float(np.ldexp(norm, e)))
-            labels.append(sample.label)
-            ids.append(sample.sample_id)
-            yield row
-
+    shape, size = first.h.shape, first.h.size
     # an entry beyond complex64 range is not exact; an overflowing |h|^2 is refused
     with np.errstate(over="ignore"):
         if dtype is None:
             exact = np.array_equal(first.h.astype(np.complex64), first.h)
             dtype = np.float32 if exact else np.float64
-        rows = np.fromiter(stored(), dtype=(dtype, 2 * first.h.size))
+        rows = np.empty((1, 2 * size), dtype)
+        for n, sample in enumerate(itertools.chain([first], it)):
+            h, norm = sample.h, np.linalg.norm(sample.h)
+            if h.shape != shape:
+                raise ValueError(f"sample {sample.sample_id!r}: CSI of shape {h.shape}, "
+                                 f"expected {shape} as the first sample's")
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"sample {sample.sample_id!r}: cannot store CSI of norm {norm}")
+            if n == len(rows):  # no view of rows outlives a resize
+                rows.resize((n + max(16, n // 8), 2 * size), refcheck=False)
+            e = -int(np.frexp(norm)[1])  # float32 rows round h to complex64
+            np.ldexp(h.real, e, out=rows[n, :size].reshape(shape), casting="same_kind")
+            np.ldexp(h.imag, e, out=rows[n, size:].reshape(shape), casting="same_kind")
+            norms.append(float(np.ldexp(norm, e)))
+            labels.append(sample.label)
+            ids.append(sample.sample_id)
+    rows.resize((len(ids), 2 * size), refcheck=False)
     return rows, np.array(norms), labels, ids
 
 
@@ -138,9 +146,10 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
     return FingerprintDb(features, norms, _labels_mm(labels, ids), cfg, topology)
 
 
-# Distances per query block (64 MiB; a 2,601-node leave-one-out is one block),
-# features per 1 MiB re-rank gather, and features per screening chunk.
-_BLOCK_ELEMENTS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 23, 1 << 17, 2048
+# Query rows per screen panel: those that fill 2^20 products (403 rows at 2,601
+# nodes), but at least 128, below which a float32 product runs far from its full
+# rate; features per 1 MiB re-rank gather, and features per screening chunk.
+_PANEL_ELEMENTS, _PANEL_ROWS, _GATHER_ELEMENTS, _SCREEN_FEATURES = 1 << 20, 128, 1 << 17, 2048
 
 
 def _nearest(db: FingerprintDb, q, k: int):
@@ -148,17 +157,24 @@ def _nearest(db: FingerprintDb, q, k: int):
     ``q = (rows, norms)`` as ``_rows`` builds them, query i being rows[i] / norms[i],
     or ``None`` for leave-one-out, each stored row a query that never matches itself.
 
-    One screen serves both. It sums products of query rows and stored rows in the
-    store's dtype (unit roundoff u, smallest normal t) over L-feature chunks of
-    column views, casting a query chunk only when its dtype differs. With
-    s = 1 / norms on either side, the float64 estimate |x|^2 - 2 q.x multiplies the
-    product by s_q s_x; it is |x - q|^2 less |q|^2, the same for all of a query's
-    candidates. Rebuilt rows have norms of at most top = max(max|x|, 1 + gamma_{D+8}),
-    as a query row rebuilds to unit norm up to rounding (gamma_n = n eps / (1 - n eps)).
-    Candidates lie within a margin of the k-th smallest estimate that no true or
-    direct-form neighbour exceeds: 16 gamma_{D+8} top^2 for float64 rounding, rebuilt
-    rows and scales included; 4 alpha top^2 for the product, alpha = gamma_m(u) (1 + u)^2
-    with m = L + ceil(D / L), plus 2u for a cast query chunk; and 32 D t s_q / min(norms)
+    One screen serves both. It takes the queries in panels of P rows and sums, for
+    each panel, products of its rows with the stored rows in the store's dtype (unit
+    roundoff u, smallest normal t) over L-feature chunks of column views, casting a
+    query chunk only when its dtype differs; a panel holds P rows by at most N
+    products and its chunk partner, never N by N. Leave-one-out is a self-join: panel
+    [i0, i1) meets only the stored rows from i0 on, and its product serves twice, as
+    the panel's rows against those rows and, transposed, as the later rows against the
+    panel's, so each pair of panels is multiplied once. With s = 1 / norms on either
+    side, the float64 estimate |x|^2 - 2 q.x multiplies the product by s_q s_x; it is
+    |x - q|^2 less |q|^2, the same for all of a query's candidates. Each query keeps
+    its k smallest estimates so far and every candidate within the current k-th plus
+    a margin; after each panel, candidates beyond it are dropped, and after the last,
+    the k-th is final. Rebuilt rows have norms of at most top = max(max|x|,
+    1 + gamma_{D+8}), as a query row rebuilds to unit norm up to rounding (gamma_n =
+    n eps / (1 - n eps)). The margin is one that no true or direct-form neighbour
+    exceeds: 16 gamma_{D+8} top^2 for float64 rounding, rebuilt rows and scales
+    included; 4 alpha top^2 for the product, alpha = gamma_m(u) (1 + u)^2 with
+    m = L + ceil(D / L), plus 2u for a cast query chunk; and 32 D t s_q / min(norms)
     for underflow. The direct ``norm(x - q)`` re-ranks stably over rows rebuilt as
     ``rows / norms`` on both sides, each leave-one-out pair once: ties go to the
     lower database index.
@@ -177,31 +193,46 @@ def _nearest(db: FingerprintDb, q, k: int):
     top = max(np.sqrt(sqx.max()), 1.0 + g64)
     margin = (16.0 * g64 / (1.0 - g64) * top ** 2 + 4.0 * alpha * top ** 2
               + 32.0 * dim * float(info.tiny) * scale / norms.min())
-    rows = max(1, min(_BLOCK_ELEMENTS // n, nq))
-    gram, part = np.empty((2, rows, n), dtype=y.dtype)  # the block's sum and one chunk's
-    weight = -2.0 / norms
-    d2, ranked = np.empty((2, min(64, rows), n))  # thresholded 64 rows at a time
-    r, c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    rows = min(max(_PANEL_ROWS, _PANEL_ELEMENTS // n), nq)
+    panel, part = np.empty((2, rows * n), dtype=y.dtype)  # the panel's sum and one chunk's
+    weight, est = -2.0 / norms, np.empty(min(64, rows) * n)  # float64 estimates, in turn
+    best = np.full((nq, k), np.inf)  # each query's k smallest estimates so far
+    kept, found = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)), []
+
+    def screen(i, g, c0):  # the products g of queries i.. with stored rows c0..
+        t = est[:g.size].reshape(g.shape)  # |x|^2 - 2 q.x in float64
+        np.multiply(g, weight[c0:c0 + g.shape[1]], out=t)
+        t *= scale[i:i + len(t), None]
+        t += sqx[c0:c0 + g.shape[1]]
+        if self_join and i < c0 + g.shape[1]:  # the queries' own rows are among c0..
+            t[np.arange(len(t)), np.arange(i - c0, i - c0 + len(t))] = np.inf
+        low = best[i:i + len(t)]
+        pool = np.concatenate((low, t), axis=1)
+        pool.partition(k - 1, axis=1)
+        low[:] = pool[:, :k]
+        rt, ct = np.nonzero(t <= (low[:, k - 1] + margin[i:i + len(t)])[:, None])
+        found.append((rt + i, ct + c0, t[rt, ct]))
+
     for s in range(0, nq, rows):
         b = min(rows, nq - s)
+        c0 = s if self_join else 0
+        gram, chunk = (buf[:b * (n - c0)].reshape(b, n - c0) for buf in (panel, part))
         for f in range(0, dim, width):
             a = qy[s:s + b, f:f + width].astype(y.dtype, copy=False)  # a view unless cast
-            np.matmul(a, y[:, f:f + width].T, out=(part if f else gram)[:b])  # syrk if one block
+            np.matmul(a, y[c0:, f:f + width].T, out=chunk if f else gram)
             if f:
-                gram[:b] += part[:b]
-        for i in range(s, s + b, 64):
-            t = d2[:min(64, s + b - i)]  # |x|^2 - 2 q.x in float64
-            np.multiply(gram[i - s:i - s + len(t)], weight, out=t)
-            t *= scale[i:i + len(t), None]
-            t += sqx
-            if self_join:
-                t[np.arange(len(t)), np.arange(i, i + len(t))] = np.inf
-            np.copyto(ranked[:len(t)], t)
-            ranked[:len(t)].partition(k - 1, axis=1)
-            rt, ct = np.nonzero(t <= (ranked[:len(t), k - 1] + margin[i:i + len(t)])[:, None])
-            r.append(rt + i)
-            c.append(ct)  # row-major: c ascends within a row
-    r, c = np.concatenate(r), np.concatenate(c)
+                gram += chunk
+        for i in range(s, s + b, 64):  # the panel's rows as queries
+            screen(i, gram[i - s:i - s + 64], c0)
+        if self_join:  # the later rows as queries, by the transpose
+            step = len(est) // b
+            for j in range(s + b, n, step):
+                screen(j, gram[:, j - s:j - s + step].T, s)
+        r, c, e = (np.concatenate(parts) for parts in zip(kept, *found))
+        keep = e <= best[r, k - 1] + margin[r]  # within the k-th so far plus the margin
+        kept, found = (r[keep], c[keep], e[keep]), []
+    order = np.lexsort((kept[1], kept[0]))  # by query row, then stored row
+    r, c = kept[0][order], kept[1][order]
     qr, xc = r, c  # re-rank norm(x[xc] - q[qr]), qr ascending
     if self_join:  # |x_i - x_j| and |x_j - x_i| have the same bits: measure each pair once
         pair, inverse = np.unique(np.minimum(r, c) * n + np.maximum(r, c), return_inverse=True)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -144,7 +145,30 @@ class TestBuildFingerprints:
         finally:
             tracemalloc.stop()
         assert db.features.shape == (441, 12_800) and db.features.dtype == np.float32
-        assert peak <= 1.2 * 441 * 12_800 * 4
+        assert peak <= 1.15 * 441 * 12_800 * 4
+
+    @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
+    def test_generator_builds_the_list_built_store_bit_for_bit(self, rng, precision):
+        # a generator has no len: the store grows as it streams, over several resizes
+        samples = [CsiSample(s.h.astype(precision), label=s.label, sample_id=s.sample_id)
+                   for s in random_samples(rng, 100, 4, 6)]
+        from_list, from_generator = build_fingerprints(samples), build_fingerprints(iter(samples))
+        assert from_list.features.shape == (100, 48)
+        for a in ("features", "norms", "labels_mm"):
+            assert getattr(from_generator, a).tobytes() == getattr(from_list, a).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 12), (6, 4), (4, 5)])
+    def test_sample_of_another_shape_rejected(self, rng, shape):
+        # 2x12 and 6x4 hold as many entries as 4x6 and were once stored as 4x6
+        first, *_ = random_samples(rng, 1, 4, 6)
+        other = CsiSample(random_csi_matrix(rng, *shape), label=Position3(1.0, 0.0, 0.0),
+                          sample_id="odd001")
+        message = re.escape(f"sample 'odd001': CSI of shape {shape}, expected (4, 6)")
+        with pytest.raises(ValueError, match=message):
+            build_fingerprints([first, other])
+        db = build_fingerprints(random_samples(rng, 5, 4, 6))
+        with pytest.raises(ValueError, match=message):  # a query batch, streamed alike
+            evaluate_localizer(db, [first, other], k=2)
 
 
 class TestStore:
@@ -507,12 +531,45 @@ class TestNeighbourKernel:
         whole = (leave_one_out_report(db, k=3).errors_mm,
                  evaluate_localizer(db, queries, k=3).errors_mm)
         dim = db.features.shape[1]
-        monkeypatch.setattr(localization, "_BLOCK_ELEMENTS", 7 * len(db))  # 7-row blocks
+        monkeypatch.setattr(localization, "_PANEL_ELEMENTS", 7 * len(db))  # 7-row panels
+        monkeypatch.setattr(localization, "_PANEL_ROWS", 1)
         monkeypatch.setattr(localization, "_GATHER_ELEMENTS", 2 * dim)  # 2-pair gathers
         monkeypatch.setattr(localization, "_SCREEN_FEATURES", 3)  # last chunk ragged
-        assert dim % 3
+        assert dim % 3 and len(db) % 7  # last panel ragged
         assert np.array_equal(leave_one_out_report(db, k=3).errors_mm, whole[0])
         assert np.array_equal(evaluate_localizer(db, queries, k=3).errors_mm, whole[1])
+
+    @pytest.mark.parametrize("k", [1, 3, 39])
+    @pytest.mark.parametrize("precision", [np.complex64, np.complex128])
+    def test_multi_panel_loo_matches_direct_argsort_bit_for_bit(self, k, precision,
+                                                               monkeypatch):
+        # 40 rows in 7-row panels, the last of 5; every fifth row repeats the row
+        # before it, so exact ties at zero and beyond go to the lower index
+        rng = np.random.default_rng(13)
+        hs = [(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))).astype(precision)
+              for _ in range(32)]
+        for i in range(0, 40, 5):
+            hs.insert(i + 1, hs[i])
+        db = build_fingerprints([CsiSample(h, label=Position3(0.0, 0.0, 0.0)) for h in hs])
+        assert db.features.dtype == (np.float32 if precision is np.complex64 else np.float64)
+        monkeypatch.setattr(localization, "_PANEL_ELEMENTS", 7 * len(db))
+        monkeypatch.setattr(localization, "_PANEL_ROWS", 1)
+        idx, dist = localization._nearest(db, None, k)
+        expected_idx, expected_dist = direct_nearest(rebuilt(db), None, k)
+        assert np.array_equal(idx, expected_idx)
+        assert np.array_equal(dist, expected_dist)
+
+    def test_loo_peak_memory_is_below_one_n_by_n_matrix(self, rng):
+        # the screen holds a panel of products, not a float32 n x n Gram (36 MB)
+        db = build_fingerprints(random_samples(rng, 3000, 8, 8))
+        assert db.features.dtype == np.float32
+        tracemalloc.start()
+        try:
+            leave_one_out_report(db, k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 4
 
     def test_k_and_feature_length_validated(self, fast_radio, ura_small):
         s = los_channel(ura_small, Position3(0, 1500, 1000), fast_radio)
