@@ -3,27 +3,36 @@ CSI fingerprint localization
 ============================
 
 Build a fingerprint database over a dense grid, locate noisy queries with
-the k-nearest-neighbour matcher, and persist the database.
+the k-nearest-neighbour matcher, and rebuild the database from the grid
+stored as a CSI1 data set.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from mamimo import (
     CsiSample,
+    DatasetIndex,
     FeatureConfig,
     NoiseSpec,
     Position3,
     RadioConfig,
     SampleGrid,
+    SampleRecord,
     add_noise,
     build_fingerprints,
     build_topology,
     evaluate_localizer,
+    iter_samples,
     knn_locate,
+    load_index,
     los_channel,
+    write_sample,
 )
+from mamimo.dataio import save_index
 from mamimo.geometry import grid_positions
-from mamimo.localization import leave_one_out_report, load_fingerprints, save_fingerprints
+from mamimo.localization import leave_one_out_report
 
 radio = RadioConfig()
 topology = build_topology("ura")
@@ -61,9 +70,21 @@ report = evaluate_localizer(db, queries, k=5)
 print(f"20 dB queries (k=5): mean {report.mean_mm:.2f} mm, "
       f"median {report.median_mm:.2f} mm, p95 {report.p95_mm:.2f} mm")
 
-# The database round-trips through its binary container and keeps giving
-# identical answers, so it can be built once and shipped.
-save_fingerprints(db, "fingerprints.fpdb")
-loaded = load_fingerprints("fingerprints.fpdb")
-same = knn_locate(loaded, queries[0], k=5) == knn_locate(db, queries[0], k=5)
-print(f"wrote fingerprints.fpdb ({len(loaded)} entries); reload locates identically:", same)
+# What is shipped is the data set, not the database: write the training grid
+# as CSI1 sample files plus index.csv, stream it back, and rebuild. The store
+# comes back bit for bit the float32 store built from the complex64 samples.
+out = Path("fingerprint_dataset")
+out.mkdir(exist_ok=True)
+records = []
+for s in train:
+    path = out / f"{s.sample_id}.bin"
+    write_sample(path, s)
+    records.append(SampleRecord(s.sample_id, path, s.label))
+save_index(out / "index.csv", DatasetIndex(records=records, topology="ura", radio=radio))
+rebuilt = build_fingerprints((s for _, s in iter_samples(load_index(out / "index.csv"))),
+                             topology="ura")
+same = all(getattr(rebuilt, a).tobytes() == getattr(stored, a).tobytes()
+           for a in ("features", "norms", "labels_mm"))
+print(f"wrote {len(records)} samples and index.csv to {out}/; "
+      f"rebuilt {rebuilt.features.dtype} store identical bit for bit:", same)
+assert same

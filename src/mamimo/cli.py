@@ -229,9 +229,6 @@ def _cmd_locate(args) -> int:
     grid = _grid(args)
     db = loc.build_fingerprints(_synth_samples(args, grid, chan.STREAM_GRID, args.snr_db),
                                 loc.FeatureConfig(), topology=args.topology)
-    if args.db_out:
-        loc.save_fingerprints(db, args.db_out)
-        print(f"saved fingerprint database ({len(db)} entries) to {args.db_out}")
     if args.loo:
         report = loc.leave_one_out_report(db, k=args.k)
     else:
@@ -324,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--loo", action="store_true", help="leave-one-out instead of noisy queries")
     p.add_argument("--query-snr-db", type=_snr, default=20.0)
-    p.add_argument("--db-out", default=None, help="also save the database to this path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_locate)
 

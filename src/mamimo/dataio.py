@@ -19,9 +19,9 @@ float32-representable (true for anything that has been on disk once).
 
 Every file mamimo writes goes through ``write_atomic`` (temp file, then
 rename), so readers see the old file or the new one, never a partial one;
-files get mode 0o666 less the umask. ``CSI1`` and ``FPDB`` are read back
-through ``read_header`` (magic, version, length) and ``check_size``, which
-holds the file to its declared size before any body is allocated.
+files get mode 0o666 less the umask. ``read_sample`` checks the magic, the
+version and the header's length, and holds the file to its declared size
+before any body is allocated.
 
 The index is a UTF-8 CSV ``sample_id,user_id,x_mm,y_mm,z_mm`` whose leading
 ``#`` comment lines carry the row count, the topology tag and the radio
@@ -94,28 +94,6 @@ def write_atomic(path, *chunks) -> None:
         raise
 
 
-def read_header(fh, path, magic: bytes, version: int, header: struct.Struct) -> tuple:
-    """Read and unpack a container header that starts with a four-byte ``magic``
-    and a version byte. Checks the magic, then the version, then the length, so
-    a short file of another format is named by its magic."""
-    data = fh.read(header.size)
-    if len(data) >= 4 and data[:4] != magic:
-        raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) >= 5 and data[4] != version:
-        raise VersionMismatchError(f"{path}: version {data[4]}, expected {version}")
-    if len(data) < header.size:
-        raise TruncatedFileError(f"{path}: file shorter than the {header.size}-byte header")
-    return header.unpack(data)
-
-
-def check_size(fh, path, declared: int) -> None:
-    """Fail unless the open file is exactly ``declared`` bytes long. Callers check
-    before allocating the body, because a corrupt header may declare GiBs."""
-    size = os.fstat(fh.fileno()).st_size
-    if size != declared:
-        raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
-
-
 def write_sample(path, csi: CsiSample) -> int:
     """Write one sample with ``write_atomic``; returns the byte count."""
     m, f = csi.n_antennas, csi.n_subcarriers
@@ -126,7 +104,10 @@ def write_sample(path, csi: CsiSample) -> int:
 
 
 def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSample:
-    """Read one sample file, validating magic, version and size.
+    """Read one sample file. Checks the magic, then the version, then the header's
+    length (so a short file of another format is named by its magic), then holds
+    the file to its declared size before the body, which a corrupt header may
+    declare at GiBs, is allocated.
 
     The binary container carries only the matrix; label and user_id come
     from the index (or the caller). The sample_id is recovered from the
@@ -134,8 +115,17 @@ def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSa
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        _, _, _, m, f, _ = read_header(fh, path, MAGIC, VERSION, _HEADER)
-        check_size(fh, path, sample_file_size(m, f))
+        data = fh.read(HEADER_SIZE)
+        if len(data) >= 4 and data[:4] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+        if len(data) >= 5 and data[4] != VERSION:
+            raise VersionMismatchError(f"{path}: version {data[4]}, expected {VERSION}")
+        if len(data) < HEADER_SIZE:
+            raise TruncatedFileError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+        _, _, _, m, f, _ = _HEADER.unpack(data)
+        size, declared = os.fstat(fh.fileno()).st_size, sample_file_size(m, f)
+        if size != declared:
+            raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
         h = np.empty((m, f), dtype="<c8")  # read in place; CsiSample widens it
         fh.readinto(h)
     sample_id = path.stem if SAMPLE_ID_PATTERN.fullmatch(path.stem) else "000000"

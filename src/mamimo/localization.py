@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import enum
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetIOError, check_size, read_header, write_atomic
+from .dataio import write_atomic
 from .model import CsiSample, Position3
 
 
 class FeatureMode(enum.Enum):
-    """The feature map; its index in this enum is the FPDB header's mode byte."""
+    """The feature map that turns a CSI matrix into a fingerprint."""
 
     RAW_UNIT_NORM = "raw_unit_norm"
 
@@ -62,10 +61,12 @@ class FingerprintDb:
     as a CSI1 file holds, in a float32 store. The database takes ownership of
     its arrays: C-contiguous float32 or float64 features and float64 norms and
     labels are kept, not copied, and locked read-only; ``sqnorms`` holds the
-    features' squared norms that every query reads.
+    features' squared norms that every query reads. A query whose CSI is not of
+    ``shape`` (M, F), when given, is refused; D = 2 M F.
     """
 
-    def __init__(self, features, norms, labels_mm, config: FeatureConfig, topology: str = ""):
+    def __init__(self, features, norms, labels_mm, config: FeatureConfig, topology: str = "",
+                 shape: tuple[int, int] | None = None):
         features = np.ascontiguousarray(features)
         if features.dtype != np.float32:
             features = features.astype(np.float64, copy=False)
@@ -88,24 +89,26 @@ class FingerprintDb:
         self.labels_mm = labels_mm
         self.config = config
         self.topology = topology
+        self.shape = shape
 
     def __len__(self):
         return self.features.shape[0]
 
 
-def _rows(samples, dtype=None):
+def _rows(samples, dtype=None, shape=None):
     """Stream the samples into one matrix of stored rows (see FingerprintDb) and
-    return ``(rows, norms, labels, ids)``. With ``dtype=None`` the first sample
-    picks the dtype: float32 when it is complex64 exact, as every sample read from
-    a CSI1 file is (later samples are then rounded to complex64), float64 otherwise.
-    Every sample must have the first one's shape. Each row is written in place;
-    the matrix grows by an eighth of itself and is trimmed to its rows at the end."""
+    return ``(rows, norms, labels, ids, shape)``. With ``dtype=None`` the first
+    sample picks the dtype: float32 when it is complex64 exact, as every sample read
+    from a CSI1 file is (later samples are then rounded to complex64), float64
+    otherwise. Every sample must have CSI of ``shape``, by default the first one's.
+    Each row is written in place; the matrix grows by an eighth of itself and is
+    trimmed to its rows at the end."""
     norms, labels, ids = [], [], []
     it = iter(samples)
     first = next(it, None)
     if first is None:
-        return np.empty((0, 0), dtype or np.float32), np.empty(0), labels, ids
-    shape, size = first.h.shape, first.h.size
+        return np.empty((0, 0), dtype or np.float32), np.empty(0), labels, ids, shape
+    shape, size = shape or first.h.shape, first.h.size
     # an entry beyond complex64 range is not exact; an overflowing |h|^2 is refused
     with np.errstate(over="ignore"):
         if dtype is None:
@@ -116,7 +119,7 @@ def _rows(samples, dtype=None):
             h, norm = sample.h, np.linalg.norm(sample.h)
             if h.shape != shape:
                 raise ValueError(f"sample {sample.sample_id!r}: CSI of shape {h.shape}, "
-                                 f"expected {shape} as the first sample's")
+                                 f"expected {shape}")
             if not 0.0 < norm < np.inf:
                 raise ValueError(f"sample {sample.sample_id!r}: cannot store CSI of norm {norm}")
             if n == len(rows):  # no view of rows outlives a resize
@@ -128,7 +131,7 @@ def _rows(samples, dtype=None):
             labels.append(sample.label)
             ids.append(sample.sample_id)
     rows.resize((len(ids), 2 * size), refcheck=False)
-    return rows, np.array(norms), labels, ids
+    return rows, np.array(norms), labels, ids, shape
 
 
 def _labels_mm(labels, ids) -> np.ndarray:
@@ -141,9 +144,9 @@ def _labels_mm(labels, ids) -> np.ndarray:
 def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
                        topology: str = "") -> FingerprintDb:
     """Build a database from labelled samples, streaming each stored row into one
-    matrix whose dtype the first sample picks (see ``_rows``)."""
-    features, norms, labels, ids = _rows(samples)
-    return FingerprintDb(features, norms, _labels_mm(labels, ids), cfg, topology)
+    matrix whose dtype and CSI shape the first sample picks (see ``_rows``)."""
+    features, norms, labels, ids, shape = _rows(samples)
+    return FingerprintDb(features, norms, _labels_mm(labels, ids), cfg, topology, shape)
 
 
 # Query rows per screen panel: those that fill 2^20 products (403 rows at 2,601
@@ -269,7 +272,7 @@ def _weighted_label_mean(db: FingerprintDb, idx, dists) -> np.ndarray:
 def knn_locate(db: FingerprintDb, query: CsiSample, k: int = 5) -> Position3:
     """Estimate the query position as the inverse-distance weighted mean of the
     positions of its k nearest fingerprints in feature space (ties by database order)."""
-    rows, norms, _, _ = _rows([query], np.float64)
+    rows, norms, *_ = _rows([query], np.float64, db.shape)
     return Position3(*map(float, _weighted_label_mean(db, *_nearest(db, (rows, norms), k))[0]))
 
 
@@ -300,7 +303,7 @@ def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> Localizat
     """Locate every labelled test sample, as one batch of float64 stored rows, and
     aggregate the errors. The samples stream: only their rows, labels and ids
     are kept."""
-    rows, norms, labels, ids = _rows(test_samples, np.float64)
+    rows, norms, labels, ids, _ = _rows(test_samples, np.float64, db.shape)
     if not ids:
         raise ValueError("test set is empty")
     d = _weighted_label_mean(db, *_nearest(db, (rows, norms), k)) - _labels_mm(labels, ids)
@@ -320,51 +323,3 @@ def report_to_csv(report: LocalizationReport, path) -> None:
     lines = ["sample_id,err_mm"]
     lines += (f"{sid},{float(err)!r}" for sid, err in zip(report.sample_ids, report.errors_mm))
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# persistence: same container discipline as the sample files, FPDB magic
-# ---------------------------------------------------------------------------
-
-FPDB_MAGIC = b"FPDB"
-FPDB_VERSION = 2
-# magic, version, feature mode, tag length, N, D, bytes per feature (4 or 8)
-_FPDB_HEADER = struct.Struct("<4sBBHIIB")
-_FEATURE_BYTES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
-
-
-class FeatureModeError(DatasetIOError):
-    """The header's feature-mode byte names no FeatureMode."""
-
-
-def save_fingerprints(db: FingerprintDb, path) -> None:
-    """Write the header, the topology tag, the features in the store's dtype,
-    then the float64 norms and labels, all little-endian."""
-    tag = db.topology.encode("utf-8")
-    if len(tag) > 0xFFFF:
-        raise ValueError("topology tag too long")
-    mode_index = list(FeatureMode).index(db.config.mode)
-    width = db.features.itemsize
-    header = _FPDB_HEADER.pack(FPDB_MAGIC, FPDB_VERSION, mode_index, len(tag),
-                               len(db), db.features.shape[1], width)
-    arrays = ((db.features, _FEATURE_BYTES[width]), (db.norms, "<f8"), (db.labels_mm, "<f8"))
-    write_atomic(path, header, tag, *(np.ascontiguousarray(a, dtype=dt) for a, dt in arrays))
-
-
-def load_fingerprints(path) -> FingerprintDb:
-    with open(path, "rb") as fh:
-        _, _, mode_index, tag_len, n, d, width = read_header(fh, path, FPDB_MAGIC, FPDB_VERSION,
-                                                              _FPDB_HEADER)
-        if mode_index >= len(FeatureMode):
-            raise FeatureModeError(f"{path}: unknown feature mode {mode_index}")
-        if width not in _FEATURE_BYTES:
-            raise DatasetIOError(f"{path}: features of {width} bytes, expected 4 or 8")
-        check_size(fh, path, _FPDB_HEADER.size + tag_len + width * n * d + 8 * 4 * n)
-        tag = fh.read(tag_len)
-        features = np.empty((n, d), dtype=_FEATURE_BYTES[width])  # read in place
-        fh.readinto(features)
-        rest = np.empty(4 * n, dtype="<f8")  # norms then labels
-        fh.readinto(rest)
-    mode = list(FeatureMode)[mode_index]
-    return FingerprintDb(features, rest[:n], rest[n:].reshape(n, 3),
-                         FeatureConfig(mode), tag.decode("utf-8"))

@@ -368,14 +368,13 @@ class TestLocateCli:
         assert "mean" in capsys.readouterr().out
         assert out.read_text().startswith("sample_id,err_mm")
 
-    def test_noisy_queries_and_db_export(self, tmp_path, capsys):
+    def test_noisy_queries_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
-        db_path = tmp_path / "db.fpdb"
         code = run_cli("locate", "--extent-mm", "20", "--resolution-mm", "10",
-                       "--query-snr-db", "25", "--seed", "2",
-                       "--db-out", str(db_path), "--out", str(out))
+                       "--query-snr-db", "25", "--seed", "2", "--out", str(out))
         assert code == 0
-        assert db_path.exists()
+        assert "localization over 9 queries" in capsys.readouterr().out
+        assert out.read_text().startswith("sample_id,err_mm")
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import builtins
 import errno
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from mamimo.dataio import (
     save_index,
     write_sample,
 )
-from mamimo.localization import build_fingerprints, save_fingerprints
 from mamimo.model import CsiSample, Position3, RadioConfig
 
 from conftest import random_csi_matrix
@@ -111,6 +111,19 @@ class TestSampleFiles:
         path.write_bytes(data)
         with pytest.raises(VersionMismatchError):
             read_sample(path)
+
+    def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path):
+        path = tmp_path / "000000.bin"
+        header = struct.pack("<4sBBHHH", b"CSI1", 1, 0, 65535, 65535, 0)  # declares 32 GiB
+        path.write_bytes(header.ljust(73, b"\0"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="000000.bin"):
+                read_sample(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_dimension_overflow(self, tmp_path):
         sample = CsiSample(np.ones((70000, 1)))
@@ -312,20 +325,17 @@ class _FullDisk:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("name", ["000000.bin", "index.csv", "db.fpdb"])
+    @pytest.mark.parametrize("name", ["000000.bin", "index.csv"])
     def test_write_failing_mid_body_keeps_the_old_file(self, tmp_path, rng, monkeypatch, name):
         index = make_dataset(tmp_path, rng)
-        samples = [read_sample(r.path, label=r.label) for r in index]
         path = tmp_path / name
         smaller = DatasetIndex(records=index.records[:2], topology="ura", radio=RadioConfig())
         write = {"000000.bin": lambda: write_sample(path, CsiSample(random_csi_matrix(rng, 2, 3))),
-                 "index.csv": lambda: save_index(path, smaller),
-                 "db.fpdb": lambda: save_fingerprints(build_fingerprints(samples[:2]), path)}[name]
+                 "index.csv": lambda: save_index(path, smaller)}[name]
         save_index(tmp_path / "index.csv", index)
-        save_fingerprints(build_fingerprints(samples), tmp_path / "db.fpdb")
         old = path.read_bytes()
         listing = sorted(tmp_path.iterdir())
-        # 24 bytes: past the CSI1 header and into the body, past the FPDB header and tag
+        # 24 bytes: past the CSI1 header and into the body
         monkeypatch.setattr(dataio, "open", lambda file, mode="r", **kw:
                             _FullDisk(builtins.open(file, mode, **kw), 24), raising=False)
         with pytest.raises(OSError, match="No space left"):

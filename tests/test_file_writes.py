@@ -5,7 +5,8 @@ truncated in place, so that a failed write leaves part of a file (an
 ``index.csv`` without its ``# rows`` count, cut at a line boundary, loads as
 a smaller data set), and files of one data set created with different modes.
 So no module under ``src/mamimo/`` may open a file for writing outside
-``write_atomic``.
+``write_atomic``. Its reader twin: ``CSI1`` is the one binary format, so no
+module but ``dataio.py`` opens a file in binary read mode.
 """
 
 import ast
@@ -16,6 +17,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "mamimo"
 # calls that write a file whatever their arguments
 WRITE_CALLS = {"write_text", "write_bytes", "mkstemp", "NamedTemporaryFile", "tofile", "savetxt"}
+# calls that read a file's bytes whatever their arguments
+READ_CALLS = {"read_bytes", "fromfile", "memmap"}
 
 
 def _open_mode(call: ast.Call, owner: str | None):
@@ -29,20 +32,23 @@ def _open_mode(call: ast.Call, owner: str | None):
     return call.args[pos] if len(call.args) > pos else None
 
 
-def file_writes(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, call) of every call in ``tree`` that may write a file."""
-    found = []
+def _calls(tree: ast.AST):
+    """(node, name, owner) of every call of a name or attribute in ``tree``;
+    ``owner`` is the name before the dot, if any."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Name):
-            name, owner = func.id, None
+            yield node, func.id, None
         elif isinstance(func, ast.Attribute):
-            name = func.attr
-            owner = func.value.id if isinstance(func.value, ast.Name) else None
-        else:
-            continue
+            yield node, func.attr, func.value.id if isinstance(func.value, ast.Name) else None
+
+
+def file_writes(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, call) of every call in ``tree`` that may write a file."""
+    found = []
+    for node, name, owner in _calls(tree):
         if name in WRITE_CALLS or (owner == "os" and name == "open"):
             writes = True
         elif name in ("open", "fdopen"):
@@ -53,7 +59,19 @@ def file_writes(tree: ast.AST) -> list[tuple[int, str]]:
         else:
             writes = False
         if writes:
-            found.append((node.lineno, ast.unparse(func)))
+            found.append((node.lineno, ast.unparse(node.func)))
+    return found
+
+
+def binary_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, call) of every call in ``tree`` that reads a file's bytes: an
+    ``open``/``fdopen`` whose mode is a read-only binary constant, or a READ_CALL."""
+    found = []
+    for node, name, owner in _calls(tree):
+        mode = _open_mode(node, owner) if name in ("open", "fdopen") else None
+        if name in READ_CALLS or (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                  and "b" in mode.value and not set(mode.value) & set("wax+")):
+            found.append((node.lineno, ast.unparse(node.func)))
     return found
 
 
@@ -89,3 +107,27 @@ def test_only_write_atomic_writes_files():
             (atomic_writes if line in inside else offenders).append(f"{path.name}:{line}: {call}")
     assert atomic_writes, "the scan no longer sees write_atomic's own writes"
     assert not offenders, "files written outside dataio.write_atomic"
+
+
+@pytest.mark.parametrize("code", [
+    'open(p, "rb")', 'open(p, mode="br")', 'Path(p).open("rb")', 'io.open(p, "rb")',
+    'os.fdopen(fd, "rb")', "p.read_bytes()", 'np.fromfile(p, "<f4")', "np.memmap(p)",
+])
+def test_scanner_finds_a_binary_read(code):
+    assert len(binary_reads(ast.parse(code))) == 1
+
+
+@pytest.mark.parametrize("code", [
+    "open(p)", 'open(p, "r")', 'open(p, newline="", encoding="utf-8")', 'open(p, "wb")',
+    'open(p, "r+b")', "Path(p).open()", 'sock.makefile("rb")', "fh.readinto(buf)",
+])
+def test_scanner_passes_other_opens(code):
+    assert binary_reads(ast.parse(code)) == []
+
+
+def test_only_dataio_reads_binary_files():
+    reads = {path.name: binary_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert reads.pop("dataio.py"), "the scan no longer sees read_sample's own read"
+    offenders = [f"{name}:{line}: {call}" for name, found in reads.items() for line, call in found]
+    assert not offenders, "files read in binary outside dataio.py"

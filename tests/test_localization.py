@@ -1,6 +1,5 @@
 import math
 import re
-import struct
 import tracemalloc
 
 import numpy as np
@@ -10,14 +9,7 @@ from hypothesis import strategies as st
 
 from mamimo import localization
 from mamimo.channel import NoiseSpec, add_noise, los_channel
-from mamimo.dataio import (
-    BadMagicError,
-    DatasetIOError,
-    TruncatedFileError,
-    VersionMismatchError,
-    read_sample,
-    write_sample,
-)
+from mamimo.dataio import read_sample, write_sample
 from mamimo.geometry import build_topology, grid_positions
 from mamimo.localization import (
     FeatureConfig,
@@ -28,9 +20,7 @@ from mamimo.localization import (
     extract_features,
     knn_locate,
     leave_one_out_report,
-    load_fingerprints,
     report_to_csv,
-    save_fingerprints,
 )
 from mamimo.model import CsiSample, Position3, SampleGrid
 
@@ -169,6 +159,19 @@ class TestBuildFingerprints:
         db = build_fingerprints(random_samples(rng, 5, 4, 6))
         with pytest.raises(ValueError, match=message):  # a query batch, streamed alike
             evaluate_localizer(db, [first, other], k=2)
+
+    @pytest.mark.parametrize("shape", [(2, 12), (6, 4)], ids=["2x12", "6x4"])
+    def test_query_of_another_shape_than_the_store_rejected(self, rng, shape):
+        # a lone query, or a batch led by it, has only the store's (M, F) to compare with
+        db = build_fingerprints(random_samples(rng, 5, 4, 6))
+        query = CsiSample(random_csi_matrix(rng, *shape), label=Position3(1.0, 0.0, 0.0),
+                          sample_id="odd001")
+        message = re.escape(f"sample 'odd001': CSI of shape {shape}, expected (4, 6)")
+        with pytest.raises(ValueError, match=message):
+            knn_locate(db, query, k=2)
+        with pytest.raises(ValueError, match=message):
+            evaluate_localizer(db, [query], k=2)
+        assert db.shape == (4, 6)
 
 
 class TestStore:
@@ -436,7 +439,7 @@ class TestNeighbourKernel:
         assert db.features.dtype == np.float32
         x = rebuilt(db)
         near = x[::3] + 1e-10 * np.random.default_rng(4).standard_normal(x[::3].shape)
-        rows, norms, _, _ = localization._rows(as_csi(scale * near), np.float64)
+        rows, norms, *_ = localization._rows(as_csi(scale * near), np.float64)
         unscaled = localization._rows(as_csi(near), np.float64)
         assert rows.tobytes() == unscaled[0].tobytes()
         assert norms.tobytes() == unscaled[1].tobytes()
@@ -453,7 +456,7 @@ class TestNeighbourKernel:
     def test_query_rows_rebuild_extract_features_bit_for_bit(self, rng, precision):
         h = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         query = CsiSample(h.astype(precision))
-        rows, norms, _, _ = localization._rows([query], np.float64)
+        rows, norms, *_ = localization._rows([query], np.float64)
         assert rows.dtype == np.float64
         assert (rows[0] / norms[0]).tobytes() == extract_features(query).tobytes()
 
@@ -579,119 +582,3 @@ class TestNeighbourKernel:
         with pytest.raises(ValueError):
             knn_locate(db, CsiSample(np.ones((1, 3))), k=1)
 
-
-class TestPersistence:
-    @pytest.mark.parametrize("store", [as_complex64, list], ids=["float32", "float64"])
-    def test_roundtrip(self, fast_radio, ura_small, tmp_path, store):
-        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
-                          y_extent_mm=40, resolution_mm=20)
-        db = build_fingerprints(store(grid_samples(ura_small, fast_radio, grid)), topology="ura")
-        path = tmp_path / "db.fpdb"
-        save_fingerprints(db, path)
-        loaded = load_fingerprints(path)
-        assert loaded.features.dtype == db.features.dtype
-        assert loaded.features.tobytes() == db.features.tobytes()
-        assert loaded.norms.tobytes() == db.norms.tobytes()
-        assert np.array_equal(loaded.labels_mm, db.labels_mm)
-        assert loaded.config == db.config
-        assert loaded.topology == "ura"
-        header = 17 + len("ura")
-        assert path.stat().st_size == header + len(db) * (db.features.nbytes // len(db) + 32)
-
-    def test_loaded_db_locates_identically(self, fast_radio, ura_small, tmp_path):
-        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
-                          y_extent_mm=40, resolution_mm=10)
-        samples = grid_samples(ura_small, fast_radio, grid)
-        db = build_fingerprints(samples)
-        path = tmp_path / "db.fpdb"
-        save_fingerprints(db, path)
-        loaded = load_fingerprints(path)
-        query = add_noise(samples[3], NoiseSpec(15.0, seed=5))
-        assert knn_locate(loaded, query, k=3) == knn_locate(db, query, k=3)
-
-    @pytest.mark.parametrize("where", ["features", "norms", "labels"])
-    def test_non_finite_value_rejected_on_load(self, fast_radio, ura_small, tmp_path, where):
-        grid = SampleGrid(origin=Position3(-20, 1500, 1000), x_extent_mm=40,
-                          y_extent_mm=40, resolution_mm=20)
-        samples = as_complex64(grid_samples(ura_small, fast_radio, grid))
-        db = build_fingerprints(samples, topology="ura")
-        path = tmp_path / "db.fpdb"
-        save_fingerprints(db, path)
-        data = bytearray(path.read_bytes())
-        offset = len(data) - db.labels_mm.nbytes  # first label
-        if where != "labels":
-            offset -= db.norms.nbytes  # first norm
-        if where == "features":
-            offset -= db.features.nbytes - 4 * 5  # sixth feature of the first row
-        value = struct.pack("<f" if where == "features" else "<d", float("nan"))
-        data[offset:offset + len(value)] = value
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
-            load_fingerprints(path)
-
-    @pytest.mark.parametrize("name, header", [
-        ("db.fpdb", struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, 400_000, 12_800, 4)),
-        ("db.fpdb", struct.pack("<4sBBHIIB", b"FPDB", 2, 0, 0, 2**32 - 1, 2**32 - 1, 4)),
-        ("000000.bin", struct.pack("<4sBBHHH", b"CSI1", 1, 0, 65535, 65535, 0)),  # 32 GiB
-    ], ids=["19GiB", "max-counts", "csi1-max-dims"])
-    def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path, name,
-                                                                        header):
-        path = tmp_path / name
-        path.write_bytes(header.ljust(73, b"\0"))
-        load = load_fingerprints if name.endswith(".fpdb") else read_sample
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncatedFileError, match=name):
-                load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_version_1_file_rejected_before_allocation(self, tmp_path):
-        # the float64 layout: header without a feature width, features then labels
-        path = tmp_path / "db.fpdb"
-        path.write_bytes(struct.pack("<4sBBHII", b"FPDB", 1, 0, 0, 200_000, 12_800) + bytes(64))
-        tracemalloc.start()
-        try:
-            with pytest.raises(VersionMismatchError, match="version 1"):
-                load_fingerprints(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "db.fpdb"
-        path.write_bytes(b"JUNK" + bytes(20))
-        with pytest.raises(BadMagicError):
-            load_fingerprints(path)
-
-    def test_bad_mode_width_truncation_and_trailing_bytes_name_the_path(self, tmp_path):
-        db = build_fingerprints([CsiSample(np.array([[1 + 2j, 3j]]), label=Position3(i, 0, 0))
-                                 for i in range(2)], topology="ura")
-        path = tmp_path / "db.fpdb"
-        save_fingerprints(db, path)
-        good = path.read_bytes()
-        bad_mode = good[:5] + bytes([7]) + good[6:]  # byte 5 is the feature mode
-        bad_width = good[:16] + bytes([2]) + good[17:]  # byte 16 is the feature width
-        for data, error in [(bad_mode, DatasetIOError), (bad_width, DatasetIOError),
-                            (good[:-1], TruncatedFileError), (good[:17], TruncatedFileError),
-                            (good[:7], TruncatedFileError), (good + b"\0", TruncatedFileError)]:
-            path.write_bytes(data)
-            with pytest.raises(error, match="db.fpdb"):
-                load_fingerprints(path)
-
-    def test_load_peak_memory_is_about_one_feature_matrix(self, rng, tmp_path):
-        # the float32 body read in place, which FingerprintDb adopts; a copy, a
-        # bytes slice beside it or a float64 store would double the peak
-        path = tmp_path / "db.fpdb"
-        save_fingerprints(build_fingerprints(random_samples(rng, 441)), path)
-        tracemalloc.start()
-        try:
-            db = load_fingerprints(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert db.features.shape == (441, 12_800) and db.features.dtype == np.float32
-        assert peak <= 1.2 * 441 * 12_800 * 4
