@@ -37,8 +37,8 @@ print(f"DA : {da.n_elements} elements, sub-array centres {radii.min():.1f} .. "
 # At the default 5 mm resolution each 1250 mm x 1250 mm table gives a
 # 251 x 251 grid.
 grids = default_positioner_grids()
-for grid in grids:
-    print(f"positioner {grid.positioner_id}: origin ({grid.origin.x:8.1f}, "
+for slot, grid in enumerate(grids):
+    print(f"positioner {slot}: origin ({grid.origin.x:8.1f}, "
           f"{grid.origin.y:8.1f}) mm, {grid.nx} x {grid.ny} = {grid.node_count} nodes")
 
 total = sum(g.node_count for g in grids)

@@ -69,7 +69,7 @@ class CampaignError(Exception):
 
 @dataclass
 class CampaignPlan:
-    """One read-only ``Positions`` of waypoints per slot (a list is wrapped), with the grids."""
+    """A read-only ``Positions`` per slot, in its table's work area and plane, with the grids."""
 
     waypoints: list[Positions]
     grids: list[SampleGrid]
@@ -79,15 +79,17 @@ class CampaignPlan:
             raise ValueError("one waypoint list per grid required")
         if len(self.grids) > 4:
             raise ValueError("at most 4 positioners are supported")
-        self.waypoints = [w if isinstance(w, Positions) else Positions(w) for w in self.waypoints]
-        for wps, grid in zip(self.waypoints, self.grids):
-            o, x, y = grid.origin, wps.xyz[:, 0], wps.xyz[:, 1]
+        for slot, (wps, grid) in enumerate(zip(self.waypoints, self.grids)):
+            if not isinstance(wps, Positions):
+                raise TypeError(f"slot {slot} waypoints are a {type(wps).__name__}, not Positions")
+            o, (x, y, z) = grid.origin, wps.xyz.T
+            # a work area lies in its table's plane, where the CSI is synthesized
             outside = ~((o.x <= x) & (x <= o.x + grid.x_extent_mm)
-                        & (o.y <= y) & (y <= o.y + grid.y_extent_mm))
+                        & (o.y <= y) & (y <= o.y + grid.y_extent_mm) & (z == o.z))
             if outside.any():
                 p = wps[int(outside.argmax())]
-                raise ValueError(f"waypoint ({p.x}, {p.y}) outside positioner "
-                                 f"{grid.positioner_id} work area")
+                raise ValueError(f"waypoint ({p.x}, {p.y}, {p.z}) outside positioner {slot} "
+                                 f"work area in the plane z = {o.z}")
 
     @property
     def total_waypoints(self) -> int:

@@ -21,7 +21,8 @@ Every file mamimo writes goes through ``write_atomic`` (temp file, then
 rename), so readers see the old file or the new one, never a partial one;
 files get mode 0o666 less the umask. ``read_sample`` checks the magic, the
 version and the header's length, and holds the file to its declared size
-before any body is allocated.
+before any body is allocated. A malformed sample file or index raises one type,
+``DatasetIOError``, naming the file, the line where there is one, and the fault.
 
 The index is a UTF-8 CSV ``sample_id,user_id,x_mm,y_mm,z_mm`` whose leading
 ``#`` comment lines carry the row count, the topology tag and the radio
@@ -54,23 +55,7 @@ HEADER_SIZE = _HEADER.size  # 12
 
 
 class DatasetIOError(Exception):
-    """Base class for container and index format errors."""
-
-
-class BadMagicError(DatasetIOError):
-    pass
-
-
-class VersionMismatchError(DatasetIOError):
-    pass
-
-
-class TruncatedFileError(DatasetIOError):
-    pass
-
-
-class IndexFormatError(DatasetIOError):
-    pass
+    """A malformed sample file or index; the message names the file, any line, and the fault."""
 
 
 def sample_file_size(n_antennas: int, n_subcarriers: int) -> int:
@@ -117,15 +102,15 @@ def read_sample(path, label: Position3 | None = None, user_id: int = 0) -> CsiSa
     with open(path, "rb") as fh:
         data = fh.read(HEADER_SIZE)
         if len(data) >= 4 and data[:4] != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+            raise DatasetIOError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
         if len(data) >= 5 and data[4] != VERSION:
-            raise VersionMismatchError(f"{path}: version {data[4]}, expected {VERSION}")
+            raise DatasetIOError(f"{path}: version {data[4]}, expected {VERSION}")
         if len(data) < HEADER_SIZE:
-            raise TruncatedFileError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+            raise DatasetIOError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
         _, _, _, m, f, _ = _HEADER.unpack(data)
         size, declared = os.fstat(fh.fileno()).st_size, sample_file_size(m, f)
         if size != declared:
-            raise TruncatedFileError(f"{path}: {size} bytes, the header declares {declared}")
+            raise DatasetIOError(f"{path}: {size} bytes, the header declares {declared}")
         h = np.empty((m, f), dtype="<c8")  # read in place; CsiSample widens it
         fh.readinto(h)
     sample_id = path.stem if SAMPLE_ID_PATTERN.fullmatch(path.stem) else "000000"
@@ -158,16 +143,6 @@ class DatasetIndex:
 
     def __len__(self):
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def radio_config_from_mapping(values: dict[str, str]) -> RadioConfig:
-    """Build a RadioConfig from the keys ``save_index`` writes, using defaults
-    for the rest; each value is cast to the type of its field's default."""
-    return RadioConfig(**{f.name: type(f.default)(values[f.name])
-                          for f in fields(RadioConfig) if f.name in values})
 
 
 def save_index(path, index: DatasetIndex) -> None:
@@ -207,35 +182,37 @@ def load_index(path) -> DatasetIndex:
                 if eq:
                     config[key.strip()] = value.strip()
                 elif text.strip():
-                    raise IndexFormatError(f"{path}:{lineno}: expected '# key = value', "
-                                           f"got {line!r}")
+                    raise DatasetIOError(f"{path}:{lineno}: expected '# key = value', "
+                                         f"got {line!r}")
                 continue
             row = next(csv.reader([line]))
             if row[0] == "sample_id":  # column header
                 continue
             if len(row) != 5:
-                raise IndexFormatError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
+                raise DatasetIOError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
             sample_id = row[0]
             try:  # validates the ids before the sample file is looked up
                 record = SampleRecord(sample_id, base / f"{sample_id}.bin",
                                       Position3(float(row[2]), float(row[3]), float(row[4])),
                                       int(row[1]))
             except ValueError as exc:
-                raise IndexFormatError(f"{path}:{lineno}: {exc}") from exc
+                raise DatasetIOError(f"{path}:{lineno}: {exc}") from exc
             if sample_id in seen:
-                raise IndexFormatError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+                raise DatasetIOError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
             seen.add(sample_id)
             if not record.path.exists():
                 raise FileNotFoundError(f"{path}:{lineno}: missing sample file {record.path}")
             records.append(record)
     declared = config.get("rows", str(len(records)))
     if declared != str(len(records)):
-        raise IndexFormatError(f"{path}: the index declares {declared} rows, found {len(records)}")
-    has_radio = any(f.name in config for f in fields(RadioConfig))
+        raise DatasetIOError(f"{path}: the index declares {declared} rows, found {len(records)}")
+    # a value is cast to its field's default's type; an old index's extra keys are skipped
+    radio_fields = [f for f in fields(RadioConfig) if f.name in config]
     try:
-        radio = radio_config_from_mapping(config) if has_radio else None
+        radio = RadioConfig(**{f.name: type(f.default)(config[f.name])
+                               for f in radio_fields}) if radio_fields else None
     except ValueError as exc:
-        raise IndexFormatError(f"{path}: comment header: {exc}") from exc
+        raise DatasetIOError(f"{path}: comment header: {exc}") from exc
     return DatasetIndex(records=records, topology=config.get("topology", ""), radio=radio)
 
 

@@ -54,14 +54,14 @@ def build_topology(kind: TopologyKind | str,
 
     if kind is TopologyKind.URA:
         offsets = (np.arange(URA_SIDE) - (URA_SIDE - 1) / 2.0) * SPACING_MM
-        return ArrayGeometry(kind, [[x, 0.0, DEFAULT_HEIGHT_MM + z]
-                                    for z in offsets for x in offsets])
+        return ArrayGeometry([[x, 0.0, DEFAULT_HEIGHT_MM + z]
+                              for z in offsets for x in offsets])
 
     if kind is TopologyKind.ULA:
         n = ULA_ELEMENTS
         xs = (np.arange(n) - (n - 1) / 2.0) * SPACING_MM
         positions = np.column_stack([xs, np.zeros(n), np.full(n, DEFAULT_HEIGHT_MM)])
-        return ArrayGeometry(kind, positions)
+        return ArrayGeometry(positions)
 
     # DA, the one kind left
     center = roi_center(standoff_mm=standoff_mm)
@@ -75,7 +75,7 @@ def build_topology(kind: TopologyKind | str,
         offsets = (np.arange(DA_SUBARRAY_ELEMENTS) - (DA_SUBARRAY_ELEMENTS - 1) / 2.0) * SPACING_MM
         for off in offsets:
             positions.append([vx + off * tx, vy + off * ty, DEFAULT_HEIGHT_MM])
-    return ArrayGeometry(kind, positions)
+    return ArrayGeometry(positions)
 
 
 def grid_positions(grid: SampleGrid, order: Traversal = Traversal.RASTER) -> Positions:
@@ -107,8 +107,8 @@ def default_positioner_grids(standoff_mm: float = DEFAULT_STANDOFF_MM,
     pitch = extent_mm + resolution_mm
     x0 = -(extent_mm + resolution_mm / 2.0)  # symmetric about x = 0
     grids = []
-    for pid, (col, row) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
+    for col, row in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         origin = Position3(x0 + col * pitch, standoff_mm + row * pitch, DEFAULT_HEIGHT_MM)
         grids.append(SampleGrid(origin=origin, x_extent_mm=extent_mm, y_extent_mm=extent_mm,
-                                resolution_mm=resolution_mm, positioner_id=pid))
+                                resolution_mm=resolution_mm))
     return grids

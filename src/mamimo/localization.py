@@ -52,7 +52,7 @@ def extract_features(csi: CsiSample) -> np.ndarray:
 
 
 class FingerprintDb:
-    """Stored fingerprints with their recording positions, in insertion order.
+    """Stored fingerprints with their recording positions and sample ids, in insertion order.
 
     Row i of ``features`` (N, D) is a sample's [Re h, Im h] scaled by the power
     of two 2^-e that puts ``norms[i]`` = |h| 2^-e in [0.5, 1); feature i is
@@ -62,19 +62,19 @@ class FingerprintDb:
     its arrays: C-contiguous float32 or float64 features and float64 norms and
     labels are kept, not copied, and locked read-only; ``sqnorms`` holds the
     features' squared norms that every query reads. A query whose CSI is not of
-    ``shape`` (M, F), when given, is refused; D = 2 M F.
+    ``shape`` (M, F), when given, is refused; D = 2 M F. Reports name row i by ``sample_ids[i]``.
     """
 
-    def __init__(self, features, norms, labels_mm, config: FeatureConfig, topology: str = "",
-                 shape: tuple[int, int] | None = None):
+    def __init__(self, features, norms, labels_mm, sample_ids, config: FeatureConfig,
+                 topology: str = "", shape: tuple[int, int] | None = None):
         features = np.ascontiguousarray(features)
         if features.dtype != np.float32:
             features = features.astype(np.float64, copy=False)
         norms = np.ascontiguousarray(norms, dtype=np.float64)
         labels_mm = np.ascontiguousarray(labels_mm, dtype=np.float64)
         if features.ndim != 2 or norms.shape != features.shape[:1] \
-                or labels_mm.shape != (len(norms), 3):
-            raise ValueError("features must be (N, D), norms (N,) and labels (N, 3)")
+                or labels_mm.shape != (len(norms), 3) or len(sample_ids) != len(norms):
+            raise ValueError("features must be (N, D), norms (N,), labels (N, 3) and N sample ids")
         if not np.isfinite(labels_mm).all():
             raise ValueError("labels must be finite")
         if not np.all((0.5 <= norms) & (norms < 1.0)):
@@ -86,7 +86,7 @@ class FingerprintDb:
         for a in (features, norms, labels_mm, sqnorms):
             a.flags.writeable = False
         self.features, self.norms, self.sqnorms = features, norms, sqnorms
-        self.labels_mm = labels_mm
+        self.labels_mm, self.sample_ids = labels_mm, tuple(sample_ids)
         self.config = config
         self.topology = topology
         self.shape = shape
@@ -146,7 +146,7 @@ def build_fingerprints(samples, cfg: FeatureConfig = FeatureConfig(),
     """Build a database from labelled samples, streaming each stored row into one
     matrix whose dtype and CSI shape the first sample picks (see ``_rows``)."""
     features, norms, labels, ids, shape = _rows(samples)
-    return FingerprintDb(features, norms, _labels_mm(labels, ids), cfg, topology, shape)
+    return FingerprintDb(features, norms, _labels_mm(labels, ids), ids, cfg, topology, shape)
 
 
 # Query rows per screen panel: those that fill 2^20 products (403 rows at 2,601
@@ -285,15 +285,16 @@ class LocalizationReport:
     p95_mm: float
 
     @classmethod
-    def from_errors(cls, errors_mm, sample_ids=None) -> "LocalizationReport":
-        errors_mm = np.asarray(errors_mm, dtype=np.float64)
+    def from_errors(cls, errors_mm, sample_ids) -> "LocalizationReport":
+        """The report of one error per sample, each named by its sample's id."""
+        errors_mm, sample_ids = np.asarray(errors_mm, dtype=np.float64), tuple(sample_ids)
         if errors_mm.size == 0:
             raise ValueError("no errors to report")
         if np.any(errors_mm < 0):
             raise ValueError("errors must be nonnegative")
-        if sample_ids is None:
-            sample_ids = tuple(f"{i:06d}" for i in range(errors_mm.size))
-        return cls(errors_mm=errors_mm, sample_ids=tuple(sample_ids),
+        if len(sample_ids) != errors_mm.size:
+            raise ValueError(f"{errors_mm.size} errors, but {len(sample_ids)} sample ids")
+        return cls(errors_mm=errors_mm, sample_ids=sample_ids,
                    mean_mm=float(np.mean(errors_mm)),
                    median_mm=float(np.median(errors_mm)),
                    p95_mm=float(np.percentile(errors_mm, 95)))
@@ -313,9 +314,10 @@ def evaluate_localizer(db: FingerprintDb, test_samples, k: int = 5) -> Localizat
 
 def leave_one_out_report(db: FingerprintDb, k: int = 4) -> LocalizationReport:
     """Locate every fingerprint as a query that may not match itself, which equals
-    querying a database with that row removed; ties still go by database order."""
+    querying a database with that row removed; ties still go by database order.
+    Each row of the report is named by the store's own sample id."""
     est = _weighted_label_mean(db, *_nearest(db, None, k))
-    return LocalizationReport.from_errors(np.linalg.norm(est - db.labels_mm, axis=1))
+    return LocalizationReport.from_errors(np.linalg.norm(est - db.labels_mm, axis=1), db.sample_ids)
 
 
 def report_to_csv(report: LocalizationReport, path) -> None:

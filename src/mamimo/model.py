@@ -63,14 +63,11 @@ class Position3:
 
 class Positions(Sequence):
     """Position3 items over one locked (N, 3) float64 array ``xyz``: an int index
-    gives a Position3 of Python floats, a slice a view, and equality holds item
-    by item with any sequence of Position3. Like FingerprintDb it takes
-    ownership: a C-contiguous float64 array is kept, not copied, and locked."""
+    gives a Position3 of Python floats and a slice a view. Like FingerprintDb it
+    takes ownership: a C-contiguous float64 array is kept, not copied, and locked."""
 
-    def __init__(self, points):
-        if not isinstance(points, np.ndarray):
-            points = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
-        xyz = np.ascontiguousarray(points, dtype=np.float64)
+    def __init__(self, xyz: np.ndarray):
+        xyz = np.ascontiguousarray(xyz, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3 or not np.isfinite(xyz).all():
             raise ValueError(f"positions must be a finite (N, 3) array, got shape {xyz.shape}")
         xyz.flags.writeable = False
@@ -81,11 +78,6 @@ class Positions(Sequence):
 
     def __getitem__(self, i):
         return Positions(self.xyz[i]) if isinstance(i, slice) else Position3(*self.xyz[i].tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +120,7 @@ class ArrayGeometry:
     same order.
     """
 
-    def __init__(self, kind: TopologyKind, positions_mm):
+    def __init__(self, positions_mm):
         # a private copy: locking it must not freeze a caller-owned array
         positions_mm = np.array(positions_mm, dtype=np.float64, order="C")
         if positions_mm.ndim != 2 or positions_mm.shape[1] != 3:
@@ -136,7 +128,6 @@ class ArrayGeometry:
         if not np.all(np.isfinite(positions_mm)):
             raise ValueError("geometry must be finite")
         positions_mm.flags.writeable = False
-        self.kind = kind
         self.positions_mm = positions_mm
 
     @property
@@ -144,7 +135,7 @@ class ArrayGeometry:
         return self.positions_mm.shape[0]
 
     def __repr__(self):
-        return f"ArrayGeometry(kind={self.kind.value}, n_elements={self.n_elements})"
+        return f"ArrayGeometry(n_elements={self.n_elements})"
 
 
 class CsiSample:
@@ -189,7 +180,7 @@ class CsiSample:
 
 @dataclass(frozen=True, slots=True)
 class SampleGrid:
-    """The rectangular work area of one xy-positioner.
+    """The rectangular work area of one xy-positioner table, numbered by its plan slot.
 
     Nodes lie every ``resolution_mm`` along each axis starting at ``origin``;
     the node count per axis is floor(extent / resolution) + 1, so the default
@@ -201,15 +192,12 @@ class SampleGrid:
     x_extent_mm: float = 1250.0
     y_extent_mm: float = 1250.0
     resolution_mm: float = 5.0
-    positioner_id: int = 0
 
     def __post_init__(self):
         if not (0 <= self.x_extent_mm < math.inf and 0 <= self.y_extent_mm < math.inf):
             raise ValueError("extents must be finite and nonnegative")
         if not 0 < self.resolution_mm < math.inf:
             raise ValueError(f"resolution must be finite and positive, got {self.resolution_mm}")
-        if not 0 <= self.positioner_id < 4:
-            raise ValueError("positioner_id must be in [0, 4)")
         for extent in (self.x_extent_mm, self.y_extent_mm):
             q = extent / self.resolution_mm
             if extent // self.resolution_mm < round(q) and math.isclose(q, round(q), rel_tol=1e-9):

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from mamimo.geometry import DEFAULT_HEIGHT_MM, SPACING_MM, build_topology
-from mamimo.model import ArrayGeometry, RadioConfig, TopologyKind
+from mamimo.model import ArrayGeometry, RadioConfig
 
 
 def small_ura() -> ArrayGeometry:
     """A 2x2 panel laid out like the 8x8 URA: 4 antennas, row-major from the bottom."""
     offsets = np.array([-0.5, 0.5]) * SPACING_MM
-    return ArrayGeometry(TopologyKind.URA,
-                         [[x, 0.0, DEFAULT_HEIGHT_MM + z] for z in offsets for x in offsets])
+    return ArrayGeometry([[x, 0.0, DEFAULT_HEIGHT_MM + z] for z in offsets for x in offsets])
 
 
 @pytest.fixture(scope="session")

@@ -245,7 +245,7 @@ def test_criterion_08_campaign_end_to_end(tmp_path):
     for path in files:
         read_sample(path)  # bit-valid: header and size check out
     loaded = load_index(out / "index.csv")
-    assert [r.label for r in loaded.records] == plan.waypoints[0]
+    assert [r.label for r in loaded.records] == list(plan.waypoints[0])
 
     # invalid payload: NAK and no file
     sample = los_channel(ura, Position3(0.0, 1500.0, 1000.0), radio)

@@ -82,17 +82,27 @@ class TestPlanning:
     def test_waypoint_outside_work_area_rejected(self):
         grid = SampleGrid(x_extent_mm=10, y_extent_mm=10)
         with pytest.raises(ValueError):
-            CampaignPlan(waypoints=[[Position3(50.0, 0.0, 0.0)]], grids=[grid])
+            CampaignPlan(waypoints=[Positions(np.array([[50.0, 0.0, 0.0]]))], grids=[grid])
 
-    def test_lists_wrapped_and_first_stray_named(self):
+    def test_list_refused_and_first_stray_named(self):
         grid = SampleGrid(x_extent_mm=10, y_extent_mm=10)
         inside = [Position3(0.0, 0.0, 0.0), Position3(10.0, 10.0, 0.0)]
-        plan = CampaignPlan(waypoints=[inside, []], grids=[grid, grid])
-        assert all(isinstance(w, Positions) for w in plan.waypoints)
-        assert plan.waypoints[0] == inside and plan.waypoints_per_positioner == [2, 0]
-        stray = inside + [Position3(0.0, 10.5, 0.0), Position3(-1.0, 0.0, 0.0)]
-        with pytest.raises(ValueError, match=r"waypoint \(0\.0, 10\.5\) outside positioner 0"):
-            CampaignPlan(waypoints=[stray], grids=[grid])
+        with pytest.raises(TypeError, match="slot 1 waypoints are a list, not Positions"):
+            CampaignPlan(waypoints=[grid_positions(grid)[:2], inside], grids=[grid, grid])
+        stray = Positions(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 0.0], [0.0, 10.5, 0.0],
+                                    [-1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"waypoint \(0\.0, 10\.5, 0\.0\) outside "
+                                             r"positioner 1"):
+            CampaignPlan(waypoints=[stray[:2], stray], grids=[grid, grid])
+
+    def test_waypoint_off_the_table_plane_rejected(self):
+        # the CSI would be synthesized at the table's z = 1000 but labelled z = 1400
+        grid = SampleGrid(origin=Position3(0.0, 1500.0, 1000.0), x_extent_mm=10, y_extent_mm=10)
+        nodes = grid_positions(grid).xyz.copy()
+        nodes[4, 2] = 1400.0
+        with pytest.raises(ValueError, match=r"waypoint \(5\.0, 1505\.0, 1400\.0\) outside "
+                                             r"positioner 0 work area in the plane z = 1000\.0"):
+            CampaignPlan(waypoints=[Positions(nodes)], grids=[grid])
 
     def test_default_plan_peak_memory_is_about_its_arrays(self):
         tracemalloc.start()
@@ -380,16 +390,16 @@ class TestRunCampaign:
         files = sorted(p.name for p in tmp_path.glob("*.bin"))
         assert files == [f"{i:06d}.bin" for i in range(25)]
         # labels equal the commanded waypoints exactly, in traversal order
-        assert [r.label for r in index.records] == plan.waypoints[0]
+        assert [r.label for r in index.records] == list(plan.waypoints[0])
         loaded = load_index(tmp_path / "index.csv")
-        assert [r.label for r in loaded.records] == plan.waypoints[0]
+        assert [r.label for r in loaded.records] == list(plan.waypoints[0])
         for rec, planned in zip(loaded.records, plan.waypoints[0]):
             sample = read_sample(rec.path, label=rec.label)
             assert sample.n_antennas == 4 and sample.n_subcarriers == 4
 
     def test_zero_waypoint_plan(self, tmp_path, fast_radio, ura_small):
         grid = SampleGrid(x_extent_mm=0, y_extent_mm=0)
-        plan = CampaignPlan(waypoints=[[]], grids=[grid])
+        plan = CampaignPlan(waypoints=[grid_positions(grid)[:0]], grids=[grid])
         index = simulate_campaign(plan, ura_small, fast_radio, tmp_path)
         assert len(index) == 0
         assert list(tmp_path.glob("*.bin")) == []
@@ -400,7 +410,7 @@ class TestRunCampaign:
         plan = plan_full_campaign([grid])
         index = simulate_campaign(plan, ura_small, fast_radio, tmp_path,
                                   positioner_error_mm=0.05, seed=3)
-        assert [r.label for r in index.records] == plan.waypoints[0]
+        assert [r.label for r in index.records] == list(plan.waypoints[0])
         # but the recorded channels come from the jittered physical positions
         clean = tmp_path / "clean"
         clean.mkdir()
@@ -435,7 +445,7 @@ class TestRunCampaign:
         assert [r.user_id for r in index.records] == [0, 1] * 4
         # slot 0 samples follow grid 0's traversal
         slot0 = [r.label for r in index.records if r.user_id == 0]
-        assert slot0 == plan.waypoints[0]
+        assert slot0 == list(plan.waypoints[0])
 
     def test_uneven_tables_follow_trigger_order(self, tmp_path, fast_radio, ura_small):
         grids = default_positioner_grids(extent_mm=5.0, resolution_mm=5.0)[:2]

@@ -20,11 +20,11 @@ from mamimo.channel import (
     synthesize_sample,
 )
 from mamimo.geometry import build_topology
-from mamimo.model import ArrayGeometry, Position3, RadioConfig, TopologyKind
+from mamimo.model import ArrayGeometry, Position3, RadioConfig
 
 
 def single_element(x=0.0, y=0.0, z=0.0):
-    return ArrayGeometry(TopologyKind.URA, np.array([[x, y, z]]))
+    return ArrayGeometry(np.array([[x, y, z]]))
 
 
 class TestPilotFrequencies:

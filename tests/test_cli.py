@@ -56,9 +56,10 @@ class TestSynthAndInspect:
             assert run_cli("synth", "--extent-mm", "10", "--resolution-mm", "5",
                            "--origin-mm", out.name, "--out", str(out)) == 0
         xy, xyz = (load_index(out / "index.csv") for out in outs)
-        assert {r.label.z for r in xy} == {DEFAULT_HEIGHT_MM}
-        assert {r.label.z for r in xyz} == {500.0}
-        assert [(r.label.x, r.label.y) for r in xyz] == [(r.label.x, r.label.y) for r in xy]
+        assert {r.label.z for r in xy.records} == {DEFAULT_HEIGHT_MM}
+        assert {r.label.z for r in xyz.records} == {500.0}
+        assert [(r.label.x, r.label.y) for r in xyz.records] == [(r.label.x, r.label.y)
+                                                                 for r in xy.records]
         assert len({(out / "000000.bin").read_bytes() for out in outs}) == 2
 
     def test_synth_refused_grid_leaves_no_out_dir(self, tmp_path, capsys):

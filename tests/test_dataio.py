@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 
 from mamimo import dataio
 from mamimo.dataio import (
-    BadMagicError,
     DatasetIndex,
-    IndexFormatError,
+    DatasetIOError,
     SampleRecord,
-    TruncatedFileError,
-    VersionMismatchError,
     iter_samples,
     load_index,
-    radio_config_from_mapping,
     read_sample,
     sample_file_size,
     save_index,
@@ -80,27 +76,27 @@ class TestSampleFiles:
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(data)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(DatasetIOError, match="x.bin: bad magic b'NOPE'"):
             read_sample(path)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "x.bin"
         write_sample(path, CsiSample(np.ones((2, 3))))
         path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(DatasetIOError, match="x.bin: 55 bytes, the header declares 60"):
             read_sample(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.bin"
         path.write_bytes(b"CSI1\x01")
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(DatasetIOError, match="x.bin: file shorter than the 12-byte header"):
             read_sample(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "x.bin"
         write_sample(path, CsiSample(np.ones((1, 1))))
         path.write_bytes(path.read_bytes() + b"!")
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(DatasetIOError, match="x.bin: 21 bytes, the header declares 20"):
             read_sample(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -109,7 +105,7 @@ class TestSampleFiles:
         data = bytearray(path.read_bytes())
         data[4] = 9
         path.write_bytes(data)
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(DatasetIOError, match="x.bin: version 9, expected 1"):
             read_sample(path)
 
     def test_declared_body_larger_than_file_rejected_before_allocation(self, tmp_path):
@@ -118,7 +114,7 @@ class TestSampleFiles:
         path.write_bytes(header.ljust(73, b"\0"))
         tracemalloc.start()
         try:
-            with pytest.raises(TruncatedFileError, match="000000.bin"):
+            with pytest.raises(DatasetIOError, match="000000.bin: 73 bytes, the header declares"):
                 read_sample(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -164,9 +160,9 @@ class TestIndex:
         assert len(loaded) == 5
         assert loaded.topology == "ura"
         assert loaded.radio == RadioConfig()
-        assert [r.sample_id for r in loaded] == [r.sample_id for r in index]
-        assert [r.label for r in loaded] == [r.label for r in index]
-        assert [r.user_id for r in loaded] == [r.user_id for r in index]
+        assert [r.sample_id for r in loaded.records] == [r.sample_id for r in index.records]
+        assert [r.label for r in loaded.records] == [r.label for r in index.records]
+        assert [r.user_id for r in loaded.records] == [r.user_id for r in index.records]
 
     def test_no_radio_with_other_comments(self, tmp_path, rng):
         index = make_dataset(tmp_path, rng, n=2)
@@ -185,7 +181,7 @@ class TestIndex:
         lines = path.read_text().splitlines(keepends=True)
         assert lines[0] == "# rows = 5\n"
         path.write_text("".join(lines[:-2]))
-        with pytest.raises(IndexFormatError, match=r"index\.csv: .* declares 5 rows, found 3"):
+        with pytest.raises(DatasetIOError, match=r"index\.csv: .* declares 5 rows, found 3"):
             load_index(path)
         path.write_text("".join(lines[1:-2]))  # no count: loads as it stands
         assert len(load_index(path)) == 3
@@ -203,12 +199,12 @@ class TestIndex:
                 "000001,0,1.0,2.0,3.0\n"
                 "000001,0,4.0,5.0,6.0\n")
         (tmp_path / "index.csv").write_text(rows)
-        with pytest.raises(IndexFormatError, match="000001"):
+        with pytest.raises(DatasetIOError, match="index.csv:3: duplicate sample_id '000001'"):
             load_index(tmp_path / "index.csv")
 
     def test_malformed_row(self, tmp_path):
         (tmp_path / "index.csv").write_text("000001,0,1.0\n")
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(DatasetIOError, match="index.csv:1: expected 5 columns, got 3"):
             load_index(tmp_path / "index.csv")
 
     def test_missing_file(self, tmp_path):
@@ -220,7 +216,7 @@ class TestIndex:
     def test_bad_sample_id_names_the_line_before_any_file_lookup(self, tmp_path, sample_id):
         (tmp_path / "index.csv").write_text("sample_id,user_id,x_mm,y_mm,z_mm\n"
                                             f"{sample_id},0,1.0,2.0,3.0\n")
-        with pytest.raises(IndexFormatError, match="index.csv:2: sample_id must be"):
+        with pytest.raises(DatasetIOError, match="index.csv:2: sample_id must be"):
             load_index(tmp_path / "index.csv")
 
     @pytest.mark.parametrize("user_id", [-1, 12, 99])
@@ -230,7 +226,7 @@ class TestIndex:
             SampleRecord("000000", tmp_path / "000000.bin", Position3(0.0, 0.0, 0.0), user_id)
         (tmp_path / "index.csv").write_text("sample_id,user_id,x_mm,y_mm,z_mm\n"
                                             f"000000,{user_id},1.0,2.0,3.0\n")
-        with pytest.raises(IndexFormatError, match=f"index.csv:2: user_id {user_id} "):
+        with pytest.raises(DatasetIOError, match=f"index.csv:2: user_id {user_id} "):
             load_index(tmp_path / "index.csv")
 
     def test_labels_roundtrip_exact(self, tmp_path, rng):
@@ -264,21 +260,22 @@ class TestConfigText:
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "index.csv"
         path.write_text("# topology = ura\n\n# free text here\nsample_id,user_id,x_mm,y_mm,z_mm\n")
-        with pytest.raises(IndexFormatError, match=r"index\.csv:3: expected '# key = value'"):
+        with pytest.raises(DatasetIOError, match=r"index\.csv:3: expected '# key = value'"):
             load_index(path)
 
-    def test_radio_from_mapping(self):
+    def test_radio_from_mapping(self, tmp_path):
         # an old index.csv still carries the deleted link-budget fields; they are skipped
-        r = radio_config_from_mapping({"carrier_hz": "3.5e9", "tx_power_dbm": "20",
-                                       "rx_gain_db": "15.0", "symbol_duration_s": "7.1e-06"})
-        assert r == RadioConfig(carrier_hz=3.5e9)
+        path = tmp_path / "index.csv"
+        path.write_text("# carrier_hz = 3.5e9\n# tx_power_dbm = 20\n# rx_gain_db = 15.0\n"
+                        "# symbol_duration_s = 7.1e-06\nsample_id,user_id,x_mm,y_mm,z_mm\n")
+        assert load_index(path).radio == RadioConfig(carrier_hz=3.5e9)
 
     @pytest.mark.parametrize("comment", ["# carrier_hz = abc", "# pilot_count = 1.5",
                                          "# pilot_count = 99", "# no key here"])
     def test_malformed_radio_comment_names_the_index(self, tmp_path, comment):
         path = tmp_path / "index.csv"
         path.write_text(f"# topology = ura\n{comment}\nsample_id,user_id,x_mm,y_mm,z_mm\n")
-        with pytest.raises(IndexFormatError, match="index.csv"):
+        with pytest.raises(DatasetIOError, match="index.csv"):
             load_index(path)
 
 
@@ -300,7 +297,7 @@ class TestStreaming:
         index.records[3].path.write_bytes(b"JUNKJUNKJUNK")
         next(it)  # record 1 still fine
         next(it)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(DatasetIOError, match="000003.bin: bad magic b'JUNK'"):
             next(it)
 
 

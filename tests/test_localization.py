@@ -120,7 +120,8 @@ class TestBuildFingerprints:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_db_adopts_and_locks_its_arrays(self, dtype):
         features, norms, labels = np.zeros((2, 3), dtype), np.full(2, 0.5), np.zeros((2, 3))
-        db = FingerprintDb(features, norms, labels, FeatureConfig())
+        db = FingerprintDb(features, norms, labels, ["a00000", "b00000"], FeatureConfig())
+        assert db.sample_ids == ("a00000", "b00000")
         assert db.features is features and db.norms is norms and db.labels_mm is labels
         assert not any(a.flags.writeable for a in (features, norms, labels, db.sqnorms))
 
@@ -215,20 +216,22 @@ class TestStore:
         expected = np.stack([extract_features(s) for s in samples])
         assert np.allclose(rebuilt(db), expected, rtol=2.0 ** -23, atol=0.0)
 
-    @pytest.mark.parametrize("features, norms, labels", [
-        (np.full((1, 4), 0.5, np.float32), np.array([0.4]), np.zeros((1, 3))),
-        (np.full((1, 4), 0.5, np.float32), np.array([1.0]), np.zeros((1, 3))),
-        (np.full((1, 4), 1.0, np.float32), np.array([0.5]), np.zeros((1, 3))),  # row norm 2
-        (np.array([[np.nan, 0.5]], np.float32), np.array([0.5]), np.zeros((1, 3))),
-        (np.array([[np.inf, 0.5]]), np.array([0.5]), np.zeros((1, 3))),
-        (np.full((1, 4), 0.25), np.array([0.5]), np.array([[np.nan, 0.0, 0.0]])),
-        (np.full((2, 4), 0.25), np.array([0.5]), np.zeros((2, 3))),
-        (np.full((1, 4), 0.25), np.array([0.5]), np.zeros((2, 3))),
+    @pytest.mark.parametrize("features, norms, labels, n_ids", [
+        (np.full((1, 4), 0.5, np.float32), np.array([0.4]), np.zeros((1, 3)), 1),
+        (np.full((1, 4), 0.5, np.float32), np.array([1.0]), np.zeros((1, 3)), 1),
+        (np.full((1, 4), 1.0, np.float32), np.array([0.5]), np.zeros((1, 3)), 1),  # row norm 2
+        (np.array([[np.nan, 0.5]], np.float32), np.array([0.5]), np.zeros((1, 3)), 1),
+        (np.array([[np.inf, 0.5]]), np.array([0.5]), np.zeros((1, 3)), 1),
+        (np.full((1, 4), 0.25), np.array([0.5]), np.array([[np.nan, 0.0, 0.0]]), 1),
+        (np.full((2, 4), 0.25), np.array([0.5]), np.zeros((2, 3)), 2),
+        (np.full((1, 4), 0.25), np.array([0.5]), np.zeros((2, 3)), 1),
+        (np.full((2, 4), 0.25), np.full(2, 0.5), np.zeros((2, 3)), 1),
     ], ids=["norm_below", "norm_at_1", "row_norm_2", "nan_row", "inf_row", "nan_label",
-            "short_norms", "long_labels"])
-    def test_store_outside_its_scale_rejected(self, features, norms, labels):
+            "short_norms", "long_labels", "short_ids"])
+    def test_store_outside_its_scale_rejected(self, features, norms, labels, n_ids):
         with pytest.raises(ValueError):
-            FingerprintDb(features, norms, labels, FeatureConfig())
+            FingerprintDb(features, norms, labels, [f"{i:06d}" for i in range(n_ids)],
+                          FeatureConfig())
 
 
 class TestKnnLocate:
@@ -301,9 +304,19 @@ class TestEvaluateAndLeaveOneOut:
         for i in (0, 9, 23, 35):
             keep = [j for j in range(len(db)) if j != i]
             reduced = FingerprintDb(db.features[keep], db.norms[keep], db.labels_mm[keep],
-                                    db.config)
+                                    [db.sample_ids[j] for j in keep], db.config)
             est = knn_locate(reduced, samples[i], k=4)
             assert est.distance_mm(samples[i].label) == pytest.approx(report.errors_mm[i], abs=1e-9)
+
+    def test_loo_report_names_the_stored_ids(self, tmp_path, fast_radio, ura_small):
+        ids = ["abc123", "zzz999", "q00007"]
+        samples = [los_channel(ura_small, Position3(10.0 * i, 1500.0, 1000.0), fast_radio,
+                               sample_id=sid) for i, sid in enumerate(ids)]
+        report = leave_one_out_report(build_fingerprints(samples), k=1)
+        assert report.sample_ids == tuple(ids)
+        report_to_csv(report, tmp_path / "loo.csv")
+        rows = (tmp_path / "loo.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ids
 
     def test_loo_interior_errors_within_one_grid_step_diagonal(self, radio, ura):
         # noiseless 5 mm patch: interior estimates stay within one diagonal;
@@ -358,6 +371,8 @@ class TestEvaluateAndLeaveOneOut:
         assert lines[0] == "sample_id,err_mm"
         assert lines[1] == "aaaaaa,1.5"
         assert len(lines) == 4
+        with pytest.raises(ValueError, match="3 errors, but 2 sample ids"):
+            LocalizationReport.from_errors([1.5, 0.0, 3.25], ["aaaaaa", "bbbbbb"])
 
 
 def near_duplicate_samples(rng, precision, n_far=5):
@@ -492,7 +507,7 @@ class TestNeighbourKernel:
             for i in range(3):
                 keep = [j for j in range(len(db)) if j != i]
                 reduced = FingerprintDb(db.features[keep], db.norms[keep], db.labels_mm[keep],
-                                        db.config)
+                                        [db.sample_ids[j] for j in keep], db.config)
                 err = knn_locate(reduced, samples[i], k=k).distance_mm(samples[i].label)
                 assert abs(err - report.errors_mm[i]) <= 1e-12
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mamimo.model import ArrayGeometry, CsiSample, Position3, RadioConfig, SampleGrid, TopologyKind
+from mamimo.model import ArrayGeometry, CsiSample, Position3, RadioConfig, SampleGrid
 
 
 class TestPosition3:
@@ -120,12 +120,10 @@ class TestSampleGrid:
             SampleGrid(x_extent_mm=math.inf)
         with pytest.raises(ValueError):
             SampleGrid(x_extent_mm=-1)
-        with pytest.raises(ValueError):
-            SampleGrid(positioner_id=4)
 
 
 class TestArrayGeometry:
     def test_arrays_locked(self):
-        g = ArrayGeometry(TopologyKind.URA, np.zeros((1, 3)))
+        g = ArrayGeometry(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             g.positions_mm[0, 0] = 5.0
